@@ -6,11 +6,9 @@
 //!
 //! * **matmul** — the seed's indexed-write k-outer kernel (reimplemented
 //!   here as `naive_matmul`) vs the production slice-based `CMat::matmul`
-//!   / `matmul_into`, plus the runtime-dispatched SIMD kernels
-//!   (`matmul/simd/{64,128,256}`, `CMat::matmul_simd[_into]`) on whatever
-//!   tier this CPU resolves. (The transposed-B `matmul_blocked` variant
-//!   was deleted: the paired gate showed it consistently below naive at
-//!   mesh sizes, and a losing kernel in the gate is noise.)
+//!   / `matmul_into`. (The transposed-B `matmul_blocked` variant was
+//!   deleted: the paired gate showed it consistently below naive at mesh
+//!   sizes, and a losing kernel in the gate is noise.)
 //! * **mvm_batched** — the batched-MVM primitive at batch 1/8/64: each
 //!   round programs the fabric cold (`clear_program_cache` +
 //!   `set_partitions`) and streams the batch, so the row measures
@@ -123,14 +121,8 @@ fn bench_matmul(c: &mut Criterion) {
             C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
         });
         // The optimized seed-order kernel must stay bit-identical to the
-        // seed's; the SIMD pair must be bit-identical to each other (their
-        // pinned-FMA contract vs the seed order is proptested in
-        // `flumen-linalg`'s kernel-equivalence harness).
+        // seed's.
         assert_eq!(naive_matmul(&a, &b), a.matmul(&b));
-        let simd = a.matmul_simd(&b);
-        let mut simd_into = CMat::zeros(n, n);
-        a.matmul_simd_into(&b, &mut simd_into);
-        assert_eq!(simd, simd_into);
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
             bch.iter(|| naive_matmul(&a, &b))
         });
@@ -141,16 +133,6 @@ fn bench_matmul(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("k_outer_into", n), &n, |bch, _| {
             bch.iter(|| a.matmul_into(&b, &mut out))
         });
-        // SIMD rows at the sizes where the micro-kernel is the story
-        // (below n=64 the packed-B setup dominates).
-        if n >= 64 {
-            group.bench_with_input(BenchmarkId::new("simd", n), &n, |bch, _| {
-                bch.iter(|| a.matmul_simd(&b))
-            });
-            group.bench_with_input(BenchmarkId::new("simd_into", n), &n, |bch, _| {
-                bch.iter(|| a.matmul_simd_into(&b, &mut out))
-            });
-        }
     }
     group.finish();
 }
@@ -453,13 +435,8 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
     // silently passing the gate.
     let below_floor = |ratio: f64| !(ratio.is_finite() && ratio >= MATMUL_REGRESSION_FLOOR);
     let rounds = if quick { 9 } else { 25 };
-    // The portable SIMD tier is a determinism fallback (bit-identical to
-    // the vector tiers, not fast); only hardware tiers are held to the
-    // perf floor. `FLUMEN_SIMD=0` CI legs therefore gate 2 variants.
-    let gate_simd = flumen_linalg::simd_backend().is_hardware();
-    let variants = ["k_outer", "k_outer_into", "simd"];
-    let gated = if gate_simd { 3 } else { 2 };
-    let measure = |n: usize, rounds: usize| -> [f64; 3] {
+    let variants = ["k_outer", "k_outer_into"];
+    let measure = |n: usize, rounds: usize| -> [f64; 2] {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let a = CMat::from_fn(n, n, |_, _| {
             C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
@@ -473,7 +450,7 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
             f();
             t0.elapsed().as_secs_f64() * 1e9
         };
-        let mut best = [0.0f64; 3];
+        let mut best = [0.0f64; 2];
         for _ in 0..rounds {
             let naive = time(&mut || {
                 criterion::black_box(naive_matmul(&a, &b));
@@ -486,10 +463,6 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
                     a.matmul_into(&b, &mut out);
                     criterion::black_box(&out);
                 }),
-                time(&mut || {
-                    a.matmul_simd_into(&b, &mut out);
-                    criterion::black_box(&out);
-                }),
             ];
             for (b, &t) in best.iter_mut().zip(round.iter()) {
                 *b = b.max(naive / t);
@@ -500,8 +473,8 @@ fn matmul_regressions(quick: bool) -> Vec<(String, f64)> {
     let mut slow = Vec::new();
     for n in [16usize, 32, 64, 128] {
         let first = measure(n, rounds);
-        let mut confirm: Option<[f64; 3]> = None;
-        for (i, variant) in variants.iter().enumerate().take(gated) {
+        let mut confirm: Option<[f64; 2]> = None;
+        for (i, variant) in variants.iter().enumerate() {
             let mut ratio = first[i];
             if below_floor(ratio) {
                 let second = *confirm.get_or_insert_with(|| measure(n, rounds * 3));
@@ -538,14 +511,12 @@ fn main() {
     let delta_speedup_disjoint = delta_full / median_nanos(&results, "delta_reprogram/disjoint");
     let mut regressions = matmul_regressions(quick);
 
-    // SIMD speedups vs naive (median/median). The n=128 point is the
-    // headline the roadmap asks for (≥4× on the full run with a hardware
-    // tier); all three land in `derived` so the trajectory is archived.
-    let simd_speedup = |n: usize| {
+    // Optimized-kernel speedups vs naive (median/median).
+    let matmul_speedup = |n: usize| {
         median_nanos(&results, &format!("matmul/naive/{n}"))
-            / median_nanos(&results, &format!("matmul/simd/{n}"))
+            / median_nanos(&results, &format!("matmul/k_outer_into/{n}"))
     };
-    let (simd_n64, simd_n128, simd_n256) = (simd_speedup(64), simd_speedup(128), simd_speedup(256));
+    let (matmul_n16, matmul_n32) = (matmul_speedup(16), matmul_speedup(32));
 
     // Batched-MVM amortization: cost of a batch-1 round (1×programming +
     // 1×propagation) vs the per-vector cost at batch 64. Wall-clock
@@ -562,19 +533,8 @@ fn main() {
         .map(|&(_, r)| r)
         .fold(f64::INFINITY, f64::min);
     let derived = [
-        (
-            "matmul_speedup_n16",
-            median_nanos(&results, "matmul/naive/16")
-                / median_nanos(&results, "matmul/k_outer_into/16"),
-        ),
-        (
-            "matmul_speedup_n32",
-            median_nanos(&results, "matmul/naive/32")
-                / median_nanos(&results, "matmul/k_outer_into/32"),
-        ),
-        ("matmul_speedup_n64", simd_n64),
-        ("matmul_speedup_n128", simd_n128),
-        ("matmul_speedup_n256", simd_n256),
+        ("matmul_speedup_n16", matmul_n16),
+        ("matmul_speedup_n32", matmul_n32),
         ("mvm_batched_per_vec_speedup_b64", mvm_per_vec_speedup),
         (
             "decompose_speedup_n16",
@@ -646,7 +606,7 @@ fn main() {
     // canonical JSONL.
     let rec = RecordingTracer::new();
     let th = rec.handle();
-    for (n, s) in [(64u64, simd_n64), (128, simd_n128), (256, simd_n256)] {
+    for (n, s) in [(16u64, matmul_n16), (32, matmul_n32)] {
         th.emit(|| TraceEvent::counter(TraceCategory::Sweep, "perf::matmul", 0, 0, s).with_id(n));
     }
     for (b, per_vec) in [(1u64, mvm_b1), (64, mvm_b64_per_vec)] {
@@ -686,15 +646,6 @@ fn main() {
         quick || delta_speedup >= 2.0,
         "delta reprogramming must be ≥2x faster than a full restore on adjacent states (got {delta_speedup:.2}x)"
     );
-    // Headline acceptance: on a hardware SIMD tier the full run must show
-    // the register-tiled kernel ≥4× over the seed kernel at mesh scale.
-    if !quick && flumen_linalg::simd_backend().is_hardware() {
-        assert!(
-            simd_n128 >= 4.0,
-            "SIMD matmul at n=128 must be ≥4x naive on a hardware tier (got {simd_n128:.2}x on {})",
-            flumen_linalg::simd_backend().name()
-        );
-    }
     if !regressions.is_empty() {
         for (name, ratio) in &regressions {
             let floor = if name.starts_with("mvm_batched/") {

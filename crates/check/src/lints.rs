@@ -139,6 +139,7 @@ impl CheckConfig {
                 "photonics::fabric".into(),
                 "photonics::mesh".into(),
                 "photonics::progstore".into(),
+                "linalg::store".into(),
                 "sim::event".into(),
                 "sim::kernel".into(),
                 "serve::queue".into(),

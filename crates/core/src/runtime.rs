@@ -3,6 +3,7 @@
 //! — the data behind paper Figs. 13/14/15.
 
 use crate::control_unit::{ControlUnitParams, MzimControlUnit};
+use flumen_linalg::store::ByteStore;
 use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, OpticalBus, RoutedNetwork};
 use flumen_power::{system_energy, EnergyBreakdown, EnergyParams, NopKind};
 use flumen_sim::{Snapshot, Snapshotable};
@@ -10,7 +11,6 @@ use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemS
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
 use flumen_workloads::Benchmark;
-use std::io;
 use std::path::PathBuf;
 
 /// The five evaluated system configurations (paper §4.1).
@@ -183,6 +183,18 @@ pub fn run_benchmark_traced(
     cfg: &RuntimeConfig,
     tracer: TraceHandle,
 ) -> FullRunResult {
+    run_topology(bench, topology, cfg, &tracer, None)
+}
+
+/// Builds `topology`'s network and server and runs `bench` on them,
+/// checkpointing through `policy` when one is given.
+fn run_topology(
+    bench: &dyn Benchmark,
+    topology: SystemTopology,
+    cfg: &RuntimeConfig,
+    tracer: &TraceHandle,
+    policy: Option<&CheckpointPolicy>,
+) -> FullRunResult {
     let mode = match topology {
         SystemTopology::FlumenA => ExecMode::Offload,
         _ => ExecMode::Local,
@@ -190,53 +202,36 @@ pub fn run_benchmark_traced(
     let tasks = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
 
     let chiplets = cfg.system.chiplets;
+    let crossbar = || MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar");
     let r = match topology {
-        SystemTopology::Ring => run_sim(
-            RoutedNetwork::new(
-                flumen_noc::RoutedTopology::Ring { nodes: chiplets },
-                flumen_noc::RoutedConfig::default(),
-            )
-            .expect("ring of ≥3 chiplets"),
-            cfg,
-            tasks,
-            tracer,
-        ),
-        SystemTopology::Mesh => {
-            let (w, h) = mesh_dims(chiplets);
-            run_sim(
-                RoutedNetwork::new(
-                    flumen_noc::RoutedTopology::Mesh {
-                        width: w,
-                        height: h,
-                    },
-                    flumen_noc::RoutedConfig::default(),
-                )
-                .expect("mesh of ≥2×2 chiplets"),
-                cfg,
-                tasks,
-                tracer,
-            )
+        SystemTopology::Ring | SystemTopology::Mesh => {
+            let shape = if topology == SystemTopology::Ring {
+                flumen_noc::RoutedTopology::Ring { nodes: chiplets }
+            } else {
+                let (width, height) = mesh_dims(chiplets);
+                flumen_noc::RoutedTopology::Mesh { width, height }
+            };
+            let net = || {
+                RoutedNetwork::new(shape, flumen_noc::RoutedConfig::default())
+                    .expect("ring of ≥3 or mesh of ≥2×2 chiplets")
+            };
+            run_sim(net, NullServer::default, cfg, tasks, tracer, policy)
         }
-        SystemTopology::OptBus => run_sim(
-            OpticalBus::new(chiplets, flumen_noc::BusConfig::default()).expect("optbus"),
-            cfg,
-            tasks,
-            tracer,
-        ),
-        SystemTopology::FlumenI => run_sim(
-            MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar"),
-            cfg,
-            tasks,
-            tracer,
-        ),
+        SystemTopology::OptBus => {
+            let net =
+                || OpticalBus::new(chiplets, flumen_noc::BusConfig::default()).expect("optbus");
+            run_sim(net, NullServer::default, cfg, tasks, tracer, policy)
+        }
+        SystemTopology::FlumenI => {
+            run_sim(crossbar, NullServer::default, cfg, tasks, tracer, policy)
+        }
         SystemTopology::FlumenA => {
-            let net = MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar");
-            let mut server = MzimControlUnit::new(cfg.control.clone());
-            server.set_tracer(tracer.clone());
-            let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-            sim.set_tracer(tracer);
-            sim.set_trace_interval(cfg.trace_interval);
-            sim.run(cfg.max_cycles)
+            let server = || {
+                let mut server = MzimControlUnit::new(cfg.control.clone());
+                server.set_tracer(tracer.clone());
+                server
+            };
+            run_sim(crossbar, server, cfg, tasks, tracer, policy)
         }
     };
 
@@ -271,18 +266,6 @@ fn finish_result(
     }
 }
 
-fn run_sim<N: flumen_noc::Network>(
-    net: N,
-    cfg: &RuntimeConfig,
-    tasks: Vec<Vec<flumen_system::CoreTask>>,
-    tracer: TraceHandle,
-) -> RunResult {
-    let mut sim = SystemSim::new(cfg.system.clone(), net, NullServer::default(), tasks);
-    sim.set_tracer(tracer);
-    sim.set_trace_interval(cfg.trace_interval);
-    sim.run(cfg.max_cycles)
-}
-
 /// Runs a benchmark on a photonic crossbar with a reduced wavelength count
 /// (Fig. 1's bandwidth sensitivity: 16/32/64 λ ↔ 64/128/256 bits/cycle),
 /// recording the link-utilization trace.
@@ -293,45 +276,35 @@ pub fn run_utilization_trace(
     cfg: &RuntimeConfig,
 ) -> FullRunResult {
     let bits_per_cycle = (lambdas * 4) as u32; // 10 Gbps/λ at 2.5 GHz
-    let net = MzimCrossbar::new(
-        cfg.system.chiplets,
-        CrossbarConfig {
+    let net = || {
+        let xbar = CrossbarConfig {
             bits_per_cycle,
             ..CrossbarConfig::default()
-        },
-    )
-    .expect("16-node crossbar");
+        };
+        MzimCrossbar::new(cfg.system.chiplets, xbar).expect("16-node crossbar")
+    };
     let tasks = taskgen::generate(bench, &cfg.system, ExecMode::Local, &cfg.taskgen);
-    let mut sim = SystemSim::new(cfg.system.clone(), net, NullServer::default(), tasks);
-    sim.set_trace_interval(trace_interval);
-    let r = sim.run(cfg.max_cycles);
-    let seconds = cfg.system.cycles_to_seconds(r.cycles);
-    let energy = system_energy(
-        &r.counts,
-        &r.net_stats,
-        seconds,
-        cfg.system.cores,
-        NopKind::FlumenComm,
-        &cfg.energy,
+    let cfg = RuntimeConfig {
+        trace_interval,
+        ..cfg.clone()
+    };
+    let r = run_sim(
+        net,
+        NullServer::default,
+        &cfg,
+        tasks,
+        &TraceHandle::disabled(),
+        None,
     );
-    FullRunResult {
-        topology: SystemTopology::FlumenI,
-        benchmark: bench.name().to_string(),
-        cycles: r.cycles,
-        seconds,
-        truncated: r.truncated,
-        counts: r.counts,
-        net_stats: r.net_stats,
-        energy,
-        utilization_trace: r.utilization_trace,
-    }
+    finish_result(bench, SystemTopology::FlumenI, &cfg, r)
 }
 
 /// Where and how often a checkpointed run snapshots itself.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Directory the checkpoint files live in (created on demand).
-    pub dir: PathBuf,
+    /// Store the checkpoint files live in; its counters record failed
+    /// writes and rejected snapshots.
+    pub store: ByteStore,
     /// Configuration fingerprint stamped into every envelope — typically
     /// the sweep job's content hash, which commits to the full runtime
     /// configuration. A checkpoint written under a different key (or
@@ -345,110 +318,59 @@ pub struct CheckpointPolicy {
 /// `policy.every_cycles` cycles and resuming from the newest valid
 /// checkpoint if one exists. Completion deletes the job's checkpoints.
 ///
-/// Checkpoints are written atomically (temp file + rename), so a run
-/// killed at any point — including mid-write — resumes from the last
-/// complete snapshot and produces bit-identical results to an
-/// uninterrupted run.
+/// Checkpoints are published atomically, so a run killed at any point —
+/// including mid-write — resumes from the last complete snapshot and
+/// produces bit-identical results to an uninterrupted run. Checkpoint
+/// I/O never stops the run: a failed write is counted in the policy's
+/// store and the run continues, and a snapshot that does not restore
+/// means a cold start.
 pub fn run_benchmark_checkpointed(
     bench: &dyn Benchmark,
     topology: SystemTopology,
     cfg: &RuntimeConfig,
     policy: &CheckpointPolicy,
     tracer: TraceHandle,
-) -> io::Result<FullRunResult> {
-    let mode = match topology {
-        SystemTopology::FlumenA => ExecMode::Offload,
-        _ => ExecMode::Local,
-    };
-    let tasks = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
-
-    let chiplets = cfg.system.chiplets;
-    let r = match topology {
-        SystemTopology::Ring => run_sim_checkpointed(
-            RoutedNetwork::new(
-                flumen_noc::RoutedTopology::Ring { nodes: chiplets },
-                flumen_noc::RoutedConfig::default(),
-            )
-            .expect("ring of ≥3 chiplets"),
-            NullServer::default(),
-            cfg,
-            tasks,
-            policy,
-            tracer.clone(),
-        )?,
-        SystemTopology::Mesh => {
-            let (w, h) = mesh_dims(chiplets);
-            run_sim_checkpointed(
-                RoutedNetwork::new(
-                    flumen_noc::RoutedTopology::Mesh {
-                        width: w,
-                        height: h,
-                    },
-                    flumen_noc::RoutedConfig::default(),
-                )
-                .expect("mesh of ≥2×2 chiplets"),
-                NullServer::default(),
-                cfg,
-                tasks,
-                policy,
-                tracer.clone(),
-            )?
-        }
-        SystemTopology::OptBus => run_sim_checkpointed(
-            OpticalBus::new(chiplets, flumen_noc::BusConfig::default()).expect("optbus"),
-            NullServer::default(),
-            cfg,
-            tasks,
-            policy,
-            tracer.clone(),
-        )?,
-        SystemTopology::FlumenI => run_sim_checkpointed(
-            MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar"),
-            NullServer::default(),
-            cfg,
-            tasks,
-            policy,
-            tracer.clone(),
-        )?,
-        SystemTopology::FlumenA => {
-            let mut server = MzimControlUnit::new(cfg.control.clone());
-            server.set_tracer(tracer.clone());
-            run_sim_checkpointed(
-                MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar"),
-                server,
-                cfg,
-                tasks,
-                policy,
-                tracer.clone(),
-            )?
-        }
-    };
-
-    Ok(finish_result(bench, topology, cfg, r))
+) -> FullRunResult {
+    run_topology(bench, topology, cfg, &tracer, Some(policy))
 }
 
-fn run_sim_checkpointed<N, S>(
-    net: N,
-    server: S,
+/// Runs one system simulation. `net` and `server` build the components;
+/// they are called again only if a checkpoint fails to restore, since a
+/// failed restore may have applied part of the snapshot.
+fn run_sim<N, S>(
+    net: impl Fn() -> N,
+    server: impl Fn() -> S,
     cfg: &RuntimeConfig,
     tasks: Vec<Vec<flumen_system::CoreTask>>,
-    policy: &CheckpointPolicy,
-    tracer: TraceHandle,
-) -> io::Result<RunResult>
+    tracer: &TraceHandle,
+    policy: Option<&CheckpointPolicy>,
+) -> RunResult
 where
     N: flumen_noc::Network + Snapshotable,
     S: flumen_system::ExternalServer<N> + Snapshotable,
 {
-    let mut sim = SystemSim::new(cfg.system.clone(), net, server, tasks);
-    sim.set_tracer(tracer.clone());
-    sim.set_trace_interval(cfg.trace_interval);
-
-    if let Some(snap) = policy.load_latest() {
-        sim.restore(&snap.state)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0))?;
-        let now = sim.cycle();
-        tracer.emit(|| TraceEvent::instant(TraceCategory::System, "resume", now, 0));
-    }
+    let build = |tasks| {
+        let mut sim = SystemSim::new(cfg.system.clone(), net(), server(), tasks);
+        sim.set_tracer(tracer.clone());
+        sim.set_trace_interval(cfg.trace_interval);
+        sim
+    };
+    let Some(policy) = policy else {
+        return build(tasks).run(cfg.max_cycles);
+    };
+    let mut sim = match policy.load_latest() {
+        None => build(tasks),
+        Some(snap) => {
+            let mut sim = build(tasks.clone());
+            if sim.restore(&snap.state).is_ok() {
+                let now = sim.cycle();
+                tracer.emit(|| TraceEvent::instant(TraceCategory::System, "resume", now, 0));
+                sim
+            } else {
+                build(tasks)
+            }
+        }
+    };
 
     // Step manually so the simulation can be snapshotted mid-flight; the
     // final consuming `run` call finds the system already finished (or
@@ -458,78 +380,80 @@ where
     while !sim.finished() && sim.cycle() < cfg.max_cycles {
         sim.step();
         let now = sim.cycle();
-        if now.is_multiple_of(every) && !sim.finished() && now < cfg.max_cycles {
-            policy.write(now, sim.snapshot())?;
+        if now.is_multiple_of(every)
+            && !sim.finished()
+            && now < cfg.max_cycles
+            && policy.write(now, sim.snapshot())
+        {
             tracer.emit(|| TraceEvent::instant(TraceCategory::System, "checkpoint", now, 0));
         }
     }
     let result = sim.run(cfg.max_cycles);
-    policy.clear()?;
-    Ok(result)
+    policy.clear();
+    result
 }
 
 impl CheckpointPolicy {
-    /// Checkpoint file name: fixed-width decimal cycle so lexicographic
+    /// Checkpoint entry name: fixed-width decimal cycle so lexicographic
     /// order is cycle order.
-    fn file(&self, cycle: u64) -> PathBuf {
-        self.dir.join(format!("{}.{cycle:020}.ckpt.json", self.key))
+    fn name(&self, cycle: u64) -> String {
+        format!("{}.{cycle:020}.ckpt.json", self.key)
+    }
+
+    /// This job's checkpoint entry names, oldest first.
+    fn names(&self) -> Vec<String> {
+        let prefix = format!("{}.", self.key);
+        let mut names = self.store.names(".ckpt.json");
+        names.retain(|n| n.starts_with(&prefix));
+        names
     }
 
     /// This job's checkpoint files, oldest first.
     pub fn files(&self) -> Vec<PathBuf> {
-        let prefix = format!("{}.", self.key);
-        let mut found: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".ckpt.json"))
-            })
-            .collect();
-        found.sort();
-        found
+        self.names().iter().map(|n| self.store.path(n)).collect()
     }
 
-    /// The newest checkpoint whose envelope validates (version and key
-    /// match). Unreadable or foreign files are skipped, not fatal: a
-    /// half-written or stale checkpoint simply falls back to the previous
-    /// one (or a cold start).
+    /// The newest checkpoint whose envelope validates (checksum, version
+    /// and key). Unreadable or foreign files are skipped, not fatal: a
+    /// damaged or stale checkpoint simply falls back to the previous one
+    /// (or a cold start).
     pub fn load_latest(&self) -> Option<Snapshot> {
-        self.files().into_iter().rev().find_map(|path| {
-            let text = std::fs::read_to_string(&path).ok()?;
-            let j = flumen_sim::Json::parse(&text).ok()?;
-            Snapshot::from_json(&j, &self.key).ok()
+        self.names().iter().rev().find_map(|name| {
+            self.store.load(name, |bytes| {
+                let j = flumen_sim::Json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+                Snapshot::from_json(&j, &self.key).ok()
+            })
         })
     }
 
     /// Atomically writes component `state` captured at `cycle` as this
-    /// job's newest checkpoint, then prunes older ones.
-    pub fn write(&self, cycle: u64, state: flumen_sim::Json) -> io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
+    /// job's newest checkpoint, then prunes older ones. Returns whether
+    /// the checkpoint landed; a failure is counted in the store and leaves
+    /// the older checkpoints in place.
+    pub fn write(&self, cycle: u64, state: flumen_sim::Json) -> bool {
         let snap = Snapshot::new(self.key.clone(), flumen_units::Cycles::new(cycle), state);
-        let path = self.file(cycle);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, snap.to_json().to_canonical())?;
-        std::fs::rename(&tmp, &path)?;
-        // Prune everything older: the file just renamed into place is
-        // complete, so earlier checkpoints only waste space.
-        for old in self.files() {
-            if old != path {
-                let _ = std::fs::remove_file(old);
+        let name = self.name(cycle);
+        if !self
+            .store
+            .put(&name, snap.to_json().to_canonical().as_bytes())
+        {
+            return false;
+        }
+        // Prune everything older: the entry just published is complete,
+        // so earlier checkpoints only waste space.
+        for old in self.names() {
+            if old != name {
+                self.store.remove(&old);
             }
         }
-        Ok(())
+        true
     }
 
     /// Removes every checkpoint of this job (called on completion).
-    pub fn clear(&self) -> io::Result<()> {
-        for path in self.files() {
-            std::fs::remove_file(path)?;
+    pub fn clear(&self) {
+        for name in self.names() {
+            self.store.remove(&name);
         }
-        Ok(())
     }
 }
 
@@ -592,7 +516,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flumen-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let policy = CheckpointPolicy {
-            dir: dir.clone(),
+            store: ByteStore::open(&dir),
             key: "job".into(),
             every_cycles: 1000,
         };
@@ -610,7 +534,7 @@ mod tests {
                 sim.step();
             }
             assert!(!sim.finished(), "checkpoint must land mid-run");
-            policy.write(sim.cycle(), sim.snapshot()).unwrap();
+            assert!(policy.write(sim.cycle(), sim.snapshot()));
         }
 
         let resumed = run_benchmark_checkpointed(
@@ -619,8 +543,7 @@ mod tests {
             &cfg,
             &policy,
             TraceHandle::disabled(),
-        )
-        .unwrap();
+        );
         assert!(!resumed.truncated);
         assert_eq!(resumed.cycles, reference.cycles);
         assert_eq!(resumed.counts, reference.counts);
@@ -636,6 +559,60 @@ mod tests {
         );
         // Completion removed the job's checkpoints.
         assert!(policy.files().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_io_failures_never_change_the_result() {
+        let cfg = RuntimeConfig {
+            max_cycles: 10_000_000,
+            ..RuntimeConfig::paper()
+        };
+        let bench = Rotation3d::small();
+        let reference = run_benchmark(&bench, SystemTopology::FlumenA, &cfg);
+        let run = |store: ByteStore| {
+            let policy = CheckpointPolicy {
+                store,
+                key: "job".into(),
+                every_cycles: 50,
+            };
+            let tracer = TraceHandle::disabled();
+            let r =
+                run_benchmark_checkpointed(&bench, SystemTopology::FlumenA, &cfg, &policy, tracer);
+            assert_eq!(r.cycles, reference.cycles);
+            assert_eq!(r.counts, reference.counts);
+            assert_eq!(
+                r.total_energy_j().to_bits(),
+                reference.total_energy_j().to_bits()
+            );
+            policy.store.stats()
+        };
+
+        // Unwritable store (a regular file where the directory should be):
+        // every checkpoint write fails, is counted, and the run goes on.
+        let tmp = std::env::temp_dir();
+        let blocked = tmp.join(format!("flumen-ckpt-blocked-{}", std::process::id()));
+        std::fs::write(&blocked, b"not a directory").unwrap();
+        let stats = run(ByteStore::open(&blocked));
+        assert!(stats.write_failures > 0);
+        assert_eq!(stats.writes, 0);
+        let _ = std::fs::remove_file(&blocked);
+
+        // A checkpoint whose envelope validates but whose state does not
+        // restore: the run starts cold.
+        let dir = tmp.join(format!("flumen-ckpt-bad-state-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ByteStore::open(&dir);
+        let bad = Snapshot::new(
+            "job",
+            flumen_units::Cycles::new(500),
+            flumen_sim::Json::Null,
+        );
+        assert!(store.put(
+            &format!("job.{:020}.ckpt.json", 500),
+            bad.to_json().to_canonical().as_bytes()
+        ));
+        assert_eq!(run(store).hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -123,12 +123,6 @@ impl CMat {
         &self.data
     }
 
-    /// Mutable borrow of the underlying row-major storage (kernel-internal).
-    #[inline]
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [C64] {
-        &mut self.data
-    }
-
     /// The conjugate transpose (adjoint) `A*`.
     pub fn adjoint(&self) -> CMat {
         CMat::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())

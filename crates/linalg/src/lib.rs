@@ -15,6 +15,8 @@
 //!   (paper §3.3.1).
 //! * [`BlockMatrix`] — zero-padding and `N×N` block decomposition for block
 //!   matrix multiplication on an `N`-input fabric (paper Eqs. 2–3).
+//! * [`sha256_hex`] and [`store`] — content addressing and the atomic,
+//!   checksummed on-disk store every cache in the workspace sits on.
 //!
 //! # Example: lowering a weight matrix for an 8-input MZIM
 //!
@@ -48,7 +50,7 @@ mod error;
 mod hash;
 mod qr;
 mod rmat;
-pub mod simd;
+pub mod store;
 mod svd;
 
 pub use block::BlockMatrix;
@@ -58,5 +60,4 @@ pub use error::{LinalgError, Result};
 pub use hash::sha256_hex;
 pub use qr::{qr, random_orthogonal, random_unitary, Qr};
 pub use rmat::RMat;
-pub use simd::{simd_backend, SimdBackend};
 pub use svd::{spectral_norm, spectral_scale, svd, Svd};

@@ -1,31 +1,12 @@
 //! Kernel-equivalence harness: every matmul/MVM variant against a shared
 //! fixed-accumulation-order reference.
 //!
-//! Two references, two contracts:
-//!
 //! * **Seed order** (`seed_matmul` / `seed_mul_vec`): ascending-`k` fold
 //!   with each complex product rounded before accumulation and exact-zero
 //!   `A` elements skipped. `CMat::matmul`, `matmul_into`, `mul_vec` and
 //!   `mul_vec_into` promise **bit-exact** agreement with it — asserted
 //!   here with `f64::to_bits`, including adversarial shapes (`n = 1`, odd
 //!   `n`, 127/129, non-square) and denormal/overflow inputs.
-//! * **Pinned FMA order** (`fma_matmul`): the same ascending-`k` walk but
-//!   each term folded with one fused multiply-add per component and **no**
-//!   zero skip. `CMat::matmul_simd` / `matmul_simd_into` promise bit-exact
-//!   agreement with it on *every* backend (AVX-512 / AVX2 / portable) —
-//!   lanes hold distinct output columns and are never reduced
-//!   horizontally, so vector width cannot change any element's chain.
-//!   Forcing `FLUMEN_SIMD=0` (the CI matrix does) re-runs these
-//!   assertions on the portable tier, which is what makes the
-//!   cross-backend bit-equality claim testable without multi-process
-//!   tricks.
-//!
-//! Between the two contracts (SIMD vs seed order) equality is only
-//! approximate: the fused chain saves one rounding per term, so the
-//! elementwise error is bounded by `≈ 2·k·ε` times the magnitude sum of
-//! the products — a couple of ULPs for the unit-range inputs used here.
-//! That tolerance is asserted too, with the bound computed per element,
-//! not hand-waved globally.
 //!
 //! Batched-MVM equivalence (batch == sequence of singles, bit-exact) is
 //! the photonics layer's contract and is pinned in
@@ -99,28 +80,6 @@ fn seed_mul_vec(a: &CMat, x: &[C64]) -> Vec<C64> {
         .collect()
 }
 
-/// The pinned SIMD accumulation order: ascending-`k` FMA chains from 0.0,
-/// no zero skip. This is the scalar transliteration of what every SIMD
-/// lane computes for its output element.
-fn fma_matmul(a: &CMat, b: &CMat) -> CMat {
-    let mut out = CMat::zeros(a.rows(), b.cols());
-    for r in 0..a.rows() {
-        for c in 0..b.cols() {
-            let (mut re, mut im) = (0.0f64, 0.0f64);
-            for k in 0..a.cols() {
-                let av = a[(r, k)];
-                let bv = b[(k, c)];
-                re = (-av.im).mul_add(bv.im, re);
-                re = av.re.mul_add(bv.re, re);
-                im = av.im.mul_add(bv.re, im);
-                im = av.re.mul_add(bv.im, im);
-            }
-            out[(r, c)] = C64::new(re, im);
-        }
-    }
-    out
-}
-
 fn bit_identical(a: &CMat, b: &CMat) -> bool {
     a.rows() == b.rows()
         && a.cols() == b.cols()
@@ -130,21 +89,6 @@ fn bit_identical(a: &CMat, b: &CMat) -> bool {
                     && a[(r, c)].im.to_bits() == b[(r, c)].im.to_bits()
             })
         })
-}
-
-/// Elementwise bound on |seed-order − fused-order|: each of the `k` terms
-/// loses at most one rounding (`ε/2` relative) per component in either
-/// chain, and the running sums accumulate at most `k` more; `4·k·ε·Σ|t|`
-/// over-covers both with headroom.
-fn seed_vs_fma_tol(a: &CMat, b: &CMat, r: usize, c: usize) -> f64 {
-    let k = a.cols();
-    let mag: f64 = (0..k)
-        .map(|kk| {
-            let (av, bv) = (a[(r, kk)], b[(kk, c)]);
-            av.re.abs().max(av.im.abs()) * bv.re.abs().max(bv.im.abs())
-        })
-        .sum();
-    4.0 * k as f64 * f64::EPSILON * 2.0 * mag
 }
 
 proptest! {
@@ -165,45 +109,6 @@ proptest! {
         let mut out = CMat::from_fn(m, n, |_, _| C64::new(7.0, -7.0));
         a.matmul_into(&b, &mut out);
         prop_assert!(bit_identical(&reference, &out));
-    }
-
-    /// SIMD family: `matmul_simd` / `matmul_simd_into` are bit-exact
-    /// against the pinned FMA reference on every shape — on whichever
-    /// backend this process dispatched to (the CI matrix covers both
-    /// hardware and portable via `FLUMEN_SIMD`).
-    #[test]
-    fn simd_family_bit_exact_vs_pinned_reference(
-        (m, k, n) in (dim(), dim(), dim()), s1 in any::<u32>(), s2 in any::<u32>()
-    ) {
-        let a = cmat_from_seed(m, k, s1, true);
-        let b = cmat_from_seed(k, n, s2, true);
-        let reference = fma_matmul(&a, &b);
-        prop_assert!(bit_identical(&reference, &a.matmul_simd(&b)));
-        let mut out = CMat::from_fn(m, n, |_, _| C64::new(-3.0, 3.0));
-        a.matmul_simd_into(&b, &mut out);
-        prop_assert!(bit_identical(&reference, &out));
-    }
-
-    /// Across the two contracts agreement is approximate, with the
-    /// documented per-element bound.
-    #[test]
-    fn simd_vs_seed_within_documented_tolerance(
-        (m, k, n) in (dim(), dim(), dim()), s1 in any::<u32>(), s2 in any::<u32>()
-    ) {
-        let a = cmat_from_seed(m, k, s1, true);
-        let b = cmat_from_seed(k, n, s2, true);
-        let seed = seed_matmul(&a, &b);
-        let simd = a.matmul_simd(&b);
-        for r in 0..m {
-            for c in 0..n {
-                let tol = seed_vs_fma_tol(&a, &b, r, c);
-                let d = seed[(r, c)] - simd[(r, c)];
-                prop_assert!(
-                    d.re.abs() <= tol && d.im.abs() <= tol,
-                    "({r},{c}): diff {d}, tol {tol:e}"
-                );
-            }
-        }
     }
 
     /// An MVM is a 1-column matmul: for zero-free `A` (so the zero-skip
@@ -235,9 +140,9 @@ proptest! {
     }
 }
 
-/// Denormal and near-overflow magnitudes mixed into one product: each
-/// variant must still match its own reference bit-for-bit (the references
-/// make no finiteness assumptions).
+/// Denormal and near-overflow magnitudes mixed into one product: the
+/// kernel must still match the seed reference bit-for-bit (the reference
+/// makes no finiteness assumptions).
 #[test]
 fn extreme_magnitude_inputs_stay_bit_exact() {
     let vals = [
@@ -266,26 +171,5 @@ fn extreme_magnitude_inputs_stay_bit_exact() {
             )
         });
         assert!(bit_identical(&seed_matmul(&a, &b), &a.matmul(&b)), "n={n}");
-        assert!(
-            bit_identical(&fma_matmul(&a, &b), &a.matmul_simd(&b)),
-            "n={n} backend={}",
-            flumen_linalg::simd_backend().name()
-        );
     }
-}
-
-/// The dispatch override is observable: whatever tier this process
-/// resolved, the SIMD result equals the portable-order reference — the
-/// property that makes `FLUMEN_SIMD` a speed knob, never a results knob.
-#[test]
-fn backend_identity_holds_for_resolved_tier() {
-    let n = 33;
-    let mut rng = StdRng::seed_from_u64(2026);
-    let a = CMat::from_fn(n, n, |_, _| {
-        C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-    });
-    let b = CMat::from_fn(n, n, |_, _| {
-        C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-    });
-    assert!(bit_identical(&fma_matmul(&a, &b), &a.matmul_simd(&b)));
 }

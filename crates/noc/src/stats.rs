@@ -43,8 +43,7 @@ impl NetStats {
         self.delivered += 1;
         self.latency_sum += lat;
         self.latency_max = self.latency_max.max(lat);
-        let bucket = (64 - lat.max(1).leading_zeros() as usize - 1).min(23);
-        self.latency_hist[bucket] += 1;
+        self.latency_hist[flumen_trace::pow2_bucket(lat, 24)] += 1;
     }
 
     /// Approximate latency percentile, linearly interpolated within the

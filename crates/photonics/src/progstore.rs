@@ -15,23 +15,21 @@
 //!   bits, so a store hit replays a program byte-identical to a fresh
 //!   [`derive_program`] run. The store can only change wall-clock time,
 //!   never simulation results.
-//! * **Lock-free concurrent sharing** — writes go to a unique temp file
-//!   followed by an atomic rename; readers see either nothing or a
-//!   complete entry. Concurrent writers of the same key race benignly
+//! * **Lock-free concurrent sharing** — entries live in a
+//!   [`ByteStore`]: atomic publish, readers see either nothing or a
+//!   complete entry, and concurrent writers of the same key race benignly
 //!   (they write identical bytes). No file locks anywhere.
-//! * **Corruption degrades to a miss** — every entry embeds a SHA-256
-//!   checksum; truncated, garbled, or version-mismatched files are
-//!   counted in [`ProgStoreStats::corrupt`] and recomputed, never
-//!   trusted and never fatal.
+//! * **Corruption degrades to a miss** — the store's trailing SHA-256
+//!   checksum guards every entry; truncated, garbled, or
+//!   version-mismatched files are counted in [`ProgStoreStats::corrupt`]
+//!   and recomputed, never trusted and never fatal.
 
 use crate::clements::{decompose, MeshProgram};
 use crate::mzi::MziPhase;
 use crate::{PhotonicsError, Result};
+use flumen_linalg::store::{seal, unseal, ByteStore, StoreStats};
 use flumen_linalg::{sha256_hex, spectral_scale, svd, RMat};
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Version salt of the on-disk binary format and of the decomposition
 /// pipeline feeding it. Bump whenever either changes in a bit-affecting
@@ -122,38 +120,14 @@ pub fn matrix_key(m: &RMat) -> String {
 }
 
 /// Counters of one store handle (shared by clones of the handle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProgStoreStats {
-    /// Entries served from disk (decomposition skipped).
-    pub hits: u64,
-    /// Keys with no entry on disk.
-    pub misses: u64,
-    /// Entries present but rejected: truncated, checksum-mismatched, or
-    /// structurally invalid. Each counts as a miss to the caller.
-    pub corrupt: u64,
-    /// Entries published (atomic write + rename completed).
-    pub writes: u64,
-}
-
-#[derive(Debug, Default)]
-struct StoreCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    writes: AtomicU64,
-}
-
-/// Monotonic discriminator for temp-file names, so concurrent writers
-/// *within* one process never collide (the pid separates processes).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+pub type ProgStoreStats = StoreStats;
 
 /// Handle to an on-disk program library. Cheap to clone; clones share
 /// the statistics counters, so a fleet of workers holding clones reports
 /// one aggregate hit/miss/corrupt count.
 #[derive(Debug, Clone)]
 pub struct ProgramStore {
-    dir: PathBuf,
-    stats: Arc<StoreCounters>,
+    store: ByteStore,
 }
 
 impl ProgramStore {
@@ -163,10 +137,9 @@ impl ProgramStore {
     ///
     /// Returns the I/O error if the directory cannot be created.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
-        fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(dir)?;
         Ok(ProgramStore {
-            dir: dir.to_path_buf(),
-            stats: Arc::new(StoreCounters::default()),
+            store: ByteStore::open(dir),
         })
     }
 
@@ -182,82 +155,40 @@ impl ProgramStore {
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// Path of the entry for a weight matrix key at partition width `w`.
     /// The name embeds the geometry and format version, so a version bump
     /// or a reshaped mesh misses cleanly instead of decoding garbage.
     pub fn entry_path(&self, m_key: &str, w: usize) -> PathBuf {
-        self.dir
-            .join(format!("{m_key}-w{w}-v{PROGSTORE_VERSION}.prog"))
+        self.store.path(&entry_name(m_key, w))
     }
 
     /// Loads the program for `(m_key, w)`. `None` on a miss *or* on a
     /// corrupt/mismatched entry — corruption is counted separately in
     /// the stats but always degrades to recomputation, never to a panic.
     pub fn load(&self, m_key: &str, w: usize) -> Option<PartitionProgram> {
-        let bytes = match fs::read(self.entry_path(m_key, w)) {
-            Ok(b) => b,
-            Err(_) => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_program(&bytes) {
-            Some(p) if p.width() == w && p.u_prog.n == w && p.sigma.len() == w => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(p)
-            }
-            _ => {
-                self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.store.load(&entry_name(m_key, w), |body| {
+            decode_body(body).filter(|p| p.width() == w && p.u_prog.n == w && p.sigma.len() == w)
+        })
     }
 
-    /// Publishes a program under `(m_key, w)`: encode, write to a unique
-    /// temp file, atomically rename into place. Returns whether the entry
-    /// was published; I/O failure is reported, not fatal (the caller
+    /// Publishes a program under `(m_key, w)`. Returns whether the entry
+    /// was published; I/O failure is counted, not fatal (the caller
     /// already holds the derived program).
     pub fn store(&self, m_key: &str, w: usize, prog: &PartitionProgram) -> bool {
-        let bytes = encode_program(prog);
-        let final_path = self.entry_path(m_key, w);
-        let tmp_path = self.dir.join(format!(
-            "{m_key}-w{w}.tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        if fs::write(&tmp_path, &bytes).is_err() {
-            return false;
-        }
-        if fs::rename(&tmp_path, &final_path).is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return false;
-        }
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        true
+        self.store.put(&entry_name(m_key, w), &encode_body(prog))
     }
 
     /// Snapshot of the hit/miss/corrupt/write counters.
     pub fn stats(&self) -> ProgStoreStats {
-        ProgStoreStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            corrupt: self.stats.corrupt.load(Ordering::Relaxed),
-            writes: self.stats.writes.load(Ordering::Relaxed),
-        }
+        self.store.stats()
     }
 
     /// Number of program entries currently on disk (any format version).
     pub fn len(&self) -> usize {
-        fs::read_dir(&self.dir)
-            .map(|it| {
-                it.flatten()
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "prog"))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.store.names(".prog").len()
     }
 
     /// Whether the store holds no entries.
@@ -267,12 +198,8 @@ impl ProgramStore {
 
     /// Removes every program entry (counters are preserved).
     pub fn clear(&self) {
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                if e.path().extension().is_some_and(|x| x == "prog") {
-                    let _ = fs::remove_file(e.path());
-                }
-            }
+        for name in self.store.names(".prog") {
+            self.store.remove(&name);
         }
     }
 
@@ -284,33 +211,27 @@ impl ProgramStore {
     /// never consult this from a hash-checked flow, or cold and warm
     /// stores would diverge.
     pub fn manifest_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = Vec::new();
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                let path = e.path();
-                if path.extension().is_none_or(|x| x != "prog") {
-                    continue;
-                }
-                let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                    continue;
-                };
-                let Some(hex) = stem.get(0..16) else {
-                    continue;
-                };
-                if let Ok(k) = u64::from_str_radix(hex, 16) {
-                    keys.push(k.max(1));
-                }
-            }
-        }
+        let mut keys: Vec<u64> = self
+            .store
+            .names(".prog")
+            .into_iter()
+            .filter_map(|name| u64::from_str_radix(name.get(0..16)?, 16).ok())
+            .map(|k| k.max(1))
+            .collect();
         keys.sort_unstable();
         keys.dedup();
         keys
     }
 }
 
+/// Store entry name: the geometry and format version are part of it.
+fn entry_name(m_key: &str, w: usize) -> String {
+    format!("{m_key}-w{w}-v{PROGSTORE_VERSION}.prog")
+}
+
 // ---------------------------------------------------------------------
-// Binary codec. All integers and float bits little-endian; the trailing
-// 64 ASCII bytes are the SHA-256 hex of everything before them.
+// Binary codec. All integers and float bits little-endian; on disk the
+// store's trailing checksum (64 ASCII hex bytes of SHA-256) follows.
 // ---------------------------------------------------------------------
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -335,8 +256,13 @@ fn put_mesh_program(out: &mut Vec<u8>, p: &MeshProgram) {
     }
 }
 
-/// Serializes a program to the checksummed binary entry format.
+/// Serializes a program to the checksummed binary entry format (the
+/// bytes of a store entry).
 pub fn encode_program(prog: &PartitionProgram) -> Vec<u8> {
+    seal(&encode_body(prog))
+}
+
+fn encode_body(prog: &PartitionProgram) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + (prog.v_prog.ops.len() + prog.u_prog.ops.len()) * 24);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&PROGSTORE_VERSION.to_le_bytes());
@@ -347,8 +273,6 @@ pub fn encode_program(prog: &PartitionProgram) -> Vec<u8> {
     }
     put_mesh_program(&mut out, &prog.v_prog);
     put_mesh_program(&mut out, &prog.u_prog);
-    let digest = sha256_hex(&out);
-    out.extend_from_slice(digest.as_bytes());
     out
 }
 
@@ -421,12 +345,10 @@ fn read_mesh_program(r: &mut Reader<'_>) -> Option<MeshProgram> {
 /// Decodes a store entry, verifying magic, version, and checksum.
 /// `None` for anything that does not round-trip exactly.
 pub fn decode_program(bytes: &[u8]) -> Option<PartitionProgram> {
-    // Checksum first: the last 64 bytes must be the hex digest of the rest.
-    let body_len = bytes.len().checked_sub(64)?;
-    let (body, digest) = bytes.split_at(body_len);
-    if sha256_hex(body).as_bytes() != digest {
-        return None;
-    }
+    unseal(bytes).and_then(decode_body)
+}
+
+fn decode_body(body: &[u8]) -> Option<PartitionProgram> {
     let mut r = Reader { buf: body, pos: 0 };
     if r.take(4)? != MAGIC || r.u32()? != PROGSTORE_VERSION {
         return None;
@@ -453,6 +375,11 @@ pub fn decode_program(bytes: &[u8]) -> Option<PartitionProgram> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Keeps scratch directories of concurrently running tests apart.
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
     fn test_matrix(seed: u64, n: usize) -> RMat {
         RMat::from_fn(n, n, |r, c| {

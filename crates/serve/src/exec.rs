@@ -15,9 +15,8 @@
 
 use flumen_sim::{Cycles, ToJson};
 use flumen_sweep::hash::sha256_hex;
-use flumen_sweep::{CheckpointStore, JobResult, JobSpec};
+use flumen_sweep::{dedup_positions, expect_all, par_map, CheckpointStore, JobResult, JobSpec};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// The memoized outcome of one distinct payload.
 #[derive(Debug, Clone)]
@@ -71,66 +70,39 @@ fn service_of(spec: &JobSpec, result: &JobResult) -> Cycles {
 
 /// Executes every distinct job among `specs` and returns the memo table.
 ///
-/// Work is deduplicated by content hash and drained from a shared queue
-/// by `threads` scoped workers (the same hand-rolled pool shape as
-/// `flumen_sweep::run_plan` — no async runtime exists in this tree).
-/// With `store` set, full-system jobs checkpoint under their content
-/// hash and resume from the newest valid snapshot.
+/// Work is deduplicated by content hash and run on `threads`
+/// [`par_map`] workers (no async runtime exists in this tree). With
+/// `store` set, full-system jobs checkpoint under their content hash and
+/// resume from the newest valid snapshot.
 ///
 /// # Panics
 ///
-/// Propagates payload panics (a payload that cannot execute is a bug in
-/// the spec, not an admission-control condition) and checkpoint I/O
-/// failures.
+/// Panics after every payload has run if any payload panicked (a payload
+/// that cannot execute is a bug in the spec, not an admission-control
+/// condition), listing every failing payload.
 pub fn execute_payloads(
     specs: &[JobSpec],
     threads: usize,
     store: Option<&CheckpointStore>,
 ) -> PayloadTable {
     // Dedup in first-seen order so the work list is deterministic.
-    let mut distinct: Vec<(String, &JobSpec)> = Vec::new();
-    {
-        let mut seen = std::collections::BTreeSet::new();
-        for spec in specs {
-            let h = spec.content_hash();
-            if seen.insert(h.clone()) {
-                distinct.push((h, spec));
-            }
-        }
-    }
-
-    let threads = threads.max(1).min(distinct.len().max(1));
-    let next = Mutex::new(0usize);
-    let done: Mutex<Vec<Option<(String, Payload)>>> = Mutex::new(vec![None; distinct.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = {
-                    let mut n = next.lock().unwrap();
-                    let i = *n;
-                    if i >= distinct.len() {
-                        return;
-                    }
-                    *n += 1;
-                    i
-                };
-                let (hash, spec) = &distinct[i];
-                let result = spec.execute_with(store);
-                let payload = Payload {
-                    result_hash: sha256_hex(result.to_json().to_canonical().as_bytes()),
-                    service: service_of(spec, &result),
-                };
-                done.lock().unwrap()[i] = Some((hash.clone(), payload));
-            });
+    let distinct = dedup_positions(specs.iter().map(JobSpec::content_hash).enumerate());
+    let outcomes = par_map(&distinct, threads, |_, (_, positions)| {
+        let spec = &specs[positions[0]];
+        let result = spec.execute_with(store);
+        Payload {
+            result_hash: sha256_hex(result.to_json().to_canonical().as_bytes()),
+            service: service_of(spec, &result),
         }
     });
 
-    let mut map = BTreeMap::new();
-    for (hash, payload) in done.into_inner().unwrap().into_iter().flatten() {
-        map.insert(hash, payload);
+    let payloads = expect_all(outcomes, "payload(s) failed", |u| {
+        specs[distinct[u].1[0]].label()
+    });
+    let hashes = distinct.into_iter().map(|(hash, _)| hash);
+    PayloadTable {
+        map: hashes.zip(payloads).collect(),
     }
-    PayloadTable { map }
 }
 
 #[cfg(test)]

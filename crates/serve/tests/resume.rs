@@ -81,7 +81,7 @@ fn killed_worker_resumes_request_to_the_same_hash() {
         }
         assert!(!sim.finished(), "checkpoint must land mid-run");
         let policy = store.policy_for(&payload.content_hash());
-        policy.write(sim.cycle(), sim.snapshot()).unwrap();
+        assert!(policy.write(sim.cycle(), sim.snapshot()));
         assert_eq!(policy.files().len(), 1);
     }
 

@@ -208,11 +208,13 @@ impl Json {
         }
     }
 
-    /// Parses a value from text.
+    /// Parses a value from text. Arrays and objects nested deeper than
+    /// [`MAX_DEPTH`] are an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -258,9 +260,15 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let hostile input
+/// overflow the stack — an abort `catch_unwind` cannot stop.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -300,8 +308,12 @@ impl Parser<'_> {
             Some(b'N') if self.eat("NaN") => Ok(Json::Num(f64::NAN)),
             Some(b'I') if self.eat("Infinity") => Ok(Json::Num(f64::INFINITY)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') if self.bytes[self.pos..].starts_with(b"-Infinity") => {
                 self.pos += "-Infinity".len();
                 Ok(Json::Num(f64::NEG_INFINITY))
@@ -309,6 +321,13 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -788,6 +807,16 @@ mod tests {
         assert!(obj.get("b").is_err());
         assert!(obj.get("a").unwrap().as_str().is_err());
         assert!(Json::Num(1.5).as_u64().is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow the stack without the bound.
+        assert!(Json::parse(&deep(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

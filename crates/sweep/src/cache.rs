@@ -8,13 +8,14 @@
 //! self-describing and can be audited or replayed without the plan that
 //! produced it.
 //!
-//! Writes go through a temp file followed by an atomic rename, so a
-//! crashed or concurrent run can never leave a torn entry behind —
-//! readers see either nothing or a complete file.
+//! Entries live in a [`ByteStore`]: atomic publish, a trailing checksum,
+//! size-bounded reads. A missing, corrupt or stale entry is a miss and a
+//! failed write is counted, so cache trouble costs a re-simulation at
+//! most and never stops a sweep.
 
 use crate::job::{JobResult, JobSpec, CODE_VERSION};
 use crate::json::{FromJson, Json, ToJson};
-use std::fs;
+use flumen_linalg::store::{ByteStore, StoreStats};
 use std::path::{Path, PathBuf};
 
 /// A cache entry as stored on disk.
@@ -28,22 +29,19 @@ pub struct CacheEntry {
     pub wall_ms: f64,
 }
 
-/// Handle to a cache directory.
+/// Handle to a cache directory. Clones share the I/O counters.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
-    dir: PathBuf,
+    store: ByteStore,
 }
 
 impl ResultCache {
-    /// Opens (and creates, if missing) a cache rooted at `dir`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directory cannot be created.
+    /// Opens a cache rooted at `dir` (created by the first store). Never
+    /// panics: an unusable directory turns every lookup into a miss and
+    /// every store into a counted write failure.
     pub fn open(dir: &Path) -> Self {
-        fs::create_dir_all(dir).expect("create cache dir");
         ResultCache {
-            dir: dir.to_path_buf(),
+            store: ByteStore::open(dir),
         }
     }
 
@@ -54,42 +52,43 @@ impl ResultCache {
         PathBuf::from(data).join("cache")
     }
 
+    fn entry_name(hash: &str) -> String {
+        format!("{hash}.json")
+    }
+
     /// Path of the entry for `hash`.
     pub fn entry_path(&self, hash: &str) -> PathBuf {
-        self.dir.join(format!("{hash}.json"))
+        self.store.path(&Self::entry_name(hash))
     }
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// Looks up a job by content hash. Returns `None` on miss *or* on an
     /// unreadable/corrupt entry (which then simply gets recomputed and
     /// rewritten — corruption is never fatal).
     pub fn load(&self, hash: &str) -> Option<CacheEntry> {
-        let text = fs::read_to_string(self.entry_path(hash)).ok()?;
-        let j = Json::parse(&text).ok()?;
-        // Defense in depth: the version is part of the hash already, but a
-        // hand-edited or migrated entry should still never be served stale.
-        if j.get("code_version").ok()?.as_str().ok()? != CODE_VERSION {
-            return None;
-        }
-        Some(CacheEntry {
-            spec: JobSpec::from_json(j.get("spec").ok()?).ok()?,
-            result: JobResult::from_json(j.get("result").ok()?).ok()?,
-            wall_ms: j.get("wall_ms").ok()?.as_f64().ok()?,
+        self.store.load(&Self::entry_name(hash), |bytes| {
+            let j = Json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+            // Defense in depth: the version is part of the hash already, but a
+            // hand-edited or migrated entry should still never be served stale.
+            if j.get("code_version").ok()?.as_str().ok()? != CODE_VERSION {
+                return None;
+            }
+            Some(CacheEntry {
+                spec: JobSpec::from_json(j.get("spec").ok()?).ok()?,
+                result: JobResult::from_json(j.get("result").ok()?).ok()?,
+                wall_ms: j.get("wall_ms").ok()?.as_f64().ok()?,
+            })
         })
     }
 
-    /// Stores a result under its spec's content hash (atomic
-    /// write-then-rename; concurrent writers of the same hash are safe
-    /// because they would write identical content).
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O failure — a broken cache directory should stop the
-    /// sweep rather than silently re-simulate everything forever.
+    /// Stores a result under its spec's content hash and returns the
+    /// hash. Concurrent writers of the same hash are safe because they
+    /// write identical content; a failed write is counted in
+    /// [`ResultCache::stats`].
     pub fn store(&self, spec: &JobSpec, result: &JobResult, wall_ms: f64) -> String {
         let hash = spec.content_hash();
         let entry = Json::obj([
@@ -100,33 +99,26 @@ impl ResultCache {
             ("result", result.to_json()),
             ("wall_ms", wall_ms.to_json()),
         ]);
-        let final_path = self.entry_path(&hash);
-        let tmp_path = self.dir.join(format!("{hash}.tmp.{}", std::process::id()));
-        fs::write(&tmp_path, entry.to_pretty()).expect("write cache entry");
-        fs::rename(&tmp_path, &final_path).expect("publish cache entry");
+        self.store
+            .put(&Self::entry_name(&hash), entry.to_pretty().as_bytes());
         hash
+    }
+
+    /// Hit/miss/corrupt/write counters of this handle and its clones.
+    pub fn stats(&self) -> StoreStats {
+        self.store.stats()
     }
 
     /// Removes every entry (used by `--force` style re-runs and tests).
     pub fn clear(&self) {
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                if e.path().extension().is_some_and(|x| x == "json") {
-                    let _ = fs::remove_file(e.path());
-                }
-            }
+        for name in self.store.names(".json") {
+            self.store.remove(&name);
         }
     }
 
     /// Number of entries currently on disk.
     pub fn len(&self) -> usize {
-        fs::read_dir(&self.dir)
-            .map(|it| {
-                it.flatten()
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.store.names(".json").len()
     }
 
     /// Whether the cache holds no entries.
@@ -141,6 +133,7 @@ mod tests {
     use crate::job::{JobSpec, NetSpec};
     use flumen_noc::harness::RunConfig;
     use flumen_noc::traffic::TrafficPattern;
+    use std::fs;
 
     fn tmp_cache(tag: &str) -> ResultCache {
         let dir =
@@ -203,6 +196,22 @@ mod tests {
         let hash = cache.store(&spec, &spec.execute(), 1.0);
         fs::write(cache.entry_path(&hash), "{ not json").unwrap();
         assert!(cache.load(&hash).is_none());
+
+        fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn deeply_nested_entry_is_a_counted_corrupt_miss() {
+        let cache = tmp_cache("deep");
+        let hash = tiny_noc_spec(5).content_hash();
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        // Sealed with a valid checksum, so only the parser's depth bound
+        // stands between this entry and a stack overflow.
+        let store = ByteStore::open(cache.dir());
+        assert!(store.put(&ResultCache::entry_name(&hash), deep.as_bytes()));
+        assert!(cache.load(&hash).is_none());
+        assert_eq!(cache.stats().corrupt, 1);
+        assert_eq!(cache.stats().hits, 0);
 
         fs::remove_dir_all(cache.dir()).unwrap();
     }

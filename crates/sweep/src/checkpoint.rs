@@ -12,16 +12,20 @@
 //! Enabled via `FLUMEN_SWEEP_CHECKPOINT=<cycles>` (checkpoint interval);
 //! checkpoints live under `$FLUMEN_DATA_DIR/checkpoints` (default
 //! `EXPERIMENTS-data/checkpoints`) and are deleted when their job
-//! completes.
+//! completes. A checkpoint that cannot be written is counted in the
+//! store's statistics and the job runs on; one that cannot be restored
+//! means a cold start.
 
 use flumen::CheckpointPolicy;
+use flumen_linalg::store::ByteStore;
 use std::path::PathBuf;
 
 /// Where and how often full-system sweep jobs checkpoint.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    /// Directory holding the checkpoint files of every in-flight job.
-    pub dir: PathBuf,
+    /// Store holding the checkpoint files of every in-flight job. Every
+    /// job's policy shares its counters.
+    pub store: ByteStore,
     /// Cycles between snapshots.
     pub every_cycles: u64,
 }
@@ -29,15 +33,17 @@ pub struct CheckpointStore {
 impl CheckpointStore {
     /// A store writing to `dir` every `every_cycles` cycles.
     pub fn new(dir: PathBuf, every_cycles: u64) -> Self {
-        CheckpointStore { dir, every_cycles }
+        CheckpointStore {
+            store: ByteStore::open(&dir),
+            every_cycles,
+        }
     }
 
-    /// The default checkpoint directory:
+    /// The default checkpoint directory, next to the result cache:
     /// `$FLUMEN_DATA_DIR/checkpoints`, falling back to
     /// `EXPERIMENTS-data/checkpoints`.
     pub fn default_dir() -> PathBuf {
-        let data = std::env::var("FLUMEN_DATA_DIR").unwrap_or_else(|_| "EXPERIMENTS-data".into());
-        PathBuf::from(data).join("checkpoints")
+        crate::cache::ResultCache::default_dir().with_file_name("checkpoints")
     }
 
     /// Reads `FLUMEN_SWEEP_CHECKPOINT` (interval in cycles). Unset, zero
@@ -57,7 +63,7 @@ impl CheckpointStore {
     /// with a stale one.
     pub fn policy_for(&self, hash: &str) -> CheckpointPolicy {
         CheckpointPolicy {
-            dir: self.dir.clone(),
+            store: self.store.clone(),
             key: hash.to_string(),
             every_cycles: self.every_cycles,
         }
@@ -72,7 +78,7 @@ mod tests {
     fn policy_inherits_dir_interval_and_keys_by_hash() {
         let store = CheckpointStore::new(PathBuf::from("/tmp/ckpt"), 5_000);
         let p = store.policy_for("abc123");
-        assert_eq!(p.dir, PathBuf::from("/tmp/ckpt"));
+        assert_eq!(p.store.dir(), PathBuf::from("/tmp/ckpt"));
         assert_eq!(p.key, "abc123");
         assert_eq!(p.every_cycles, 5_000);
         // Distinct hashes → distinct keys, same directory.

@@ -2,22 +2,20 @@
 //!
 //! A [`SweepPlan`] is an ordered list of [`JobSpec`]s (built from
 //! cartesian grids and/or explicit job lists). [`run_plan`] fans the
-//! cache misses across a pool of worker threads pulling from a shared
-//! queue, then reassembles results **by job index**, so the output is
-//! bit-identical whatever the thread count or completion order: each job
-//! is a pure function of its spec (own seed, no shared mutable state),
-//! and position in the plan — not scheduling — decides where its result
-//! lands. Duplicate specs within one plan are executed once and fanned
+//! cache misses across the [`par_map`] worker pool, then reassembles
+//! results **by job index**, so the output is bit-identical whatever the
+//! thread count or completion order: each job is a pure function of its
+//! spec (own seed, no shared mutable state), and position in the plan —
+//! not scheduling — decides where its result lands. Duplicate specs within one plan are executed once and fanned
 //! out to every position that requested them.
 
 use crate::cache::ResultCache;
 use crate::checkpoint::CheckpointStore;
 use crate::job::{JobResult, JobSpec};
+use crate::pool::{dedup_positions, expect_all, par_map};
+use flumen_linalg::store::StoreStats;
 use flumen_trace::{EventKind, TraceCategory, TraceEvent};
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// An ordered collection of jobs to run.
@@ -149,6 +147,9 @@ pub struct SweepReport {
     /// Feed to [`crate::sink::write_trace_files`] or the
     /// `flumen_trace` exporters directly.
     pub trace_events: Vec<TraceEvent>,
+    /// The result cache's I/O counters for this run. A failed write
+    /// costs only a later re-simulation, so it is counted, not raised.
+    pub cache: StoreStats,
 }
 
 impl SweepReport {
@@ -175,14 +176,15 @@ impl SweepReport {
 /// Runs every job in the plan and returns results in plan order.
 ///
 /// Cache hits are resolved up front; the misses are deduplicated by
-/// content hash and distributed over `opts.threads` workers sharing a
-/// queue. Each executed result is written back to the cache before the
-/// report is assembled.
+/// content hash and distributed over `opts.threads` [`par_map`]
+/// workers. Each executed result is written back to the cache before the
+/// report is assembled; cache I/O failures are counted in
+/// [`SweepReport::cache`], never fatal.
 ///
 /// # Panics
 ///
-/// Panics if any job panics (after all other jobs finish), or on cache
-/// I/O failure.
+/// Panics if any job panics, after every other job finishes, listing
+/// every failing job.
 pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
     // Wall-clock feeds only the `wall_ms` / trace-timestamp metadata;
     // result bytes come from the seeded JobResult JSON alone.
@@ -218,110 +220,49 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
 
     // Deduplicate the misses: one execution per distinct hash, fanned out
     // to every plan position that asked for it.
-    let mut unique: Vec<(JobSpec, Vec<usize>)> = Vec::new();
-    let mut by_hash: BTreeMap<&str, usize> = BTreeMap::new();
-    for (i, hash) in hashes.iter().enumerate() {
-        if slots[i].is_some() {
-            continue;
-        }
-        match by_hash.get(hash.as_str()) {
-            Some(&u) => unique[u].1.push(i),
-            None => {
-                by_hash.insert(hash.as_str(), unique.len());
-                unique.push((plan.jobs()[i].clone(), vec![i]));
-            }
-        }
-    }
+    let unique = dedup_positions(
+        hashes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| slots[i].is_none())
+            .map(|(i, h)| (i, h.as_str())),
+    );
 
-    // Shared work queue + result slots for the workers.
-    type WorkerOutcome = Option<Result<(JobResult, f64), String>>;
-    let queue: Mutex<VecDeque<usize>> = Mutex::new((0..unique.len()).collect());
-    let done: Mutex<Vec<WorkerOutcome>> = Mutex::new(vec![None; unique.len()]);
-    let spans: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-    let workers = opts.threads.clamp(1, unique.len().max(1));
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (spans, queue, done, unique, cache) = (&spans, &queue, &done, &unique, &cache);
-            scope.spawn(move || loop {
-                let Some(u) = queue.lock().unwrap().pop_front() else {
-                    break;
-                };
-                let (spec, _) = &unique[u];
-                if opts.verbose {
-                    eprintln!("  [sweep] running {}", spec.label());
-                }
-                let begin_us = t0.elapsed().as_micros() as u64;
-                // Per-job timing is reporting metadata, never result bytes.
-                let tj = Instant::now(); // flumen-check: allow(det-wall-clock)
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    spec.execute_with(opts.checkpoint.as_ref())
-                }));
-                let wall = tj.elapsed().as_secs_f64() * 1e3;
-                let entry = match outcome {
-                    Ok(result) => {
-                        cache.store(spec, &result, wall);
-                        Ok((result, wall))
-                    }
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "non-string panic".into());
-                        Err(msg)
-                    }
-                };
-                let end_us = t0.elapsed().as_micros() as u64;
-                let label = spec.label();
-                let mut sp = spans.lock().unwrap();
-                sp.push(
-                    TraceEvent::new(
-                        TraceCategory::Sweep,
-                        label.clone(),
-                        EventKind::SpanBegin,
-                        begin_us,
-                        w as u32,
-                    )
-                    .with_id(u as u64),
-                );
-                sp.push(
-                    TraceEvent::new(
-                        TraceCategory::Sweep,
-                        label,
-                        EventKind::SpanEnd,
-                        end_us.max(begin_us + 1),
-                        w as u32,
-                    )
-                    .with_id(u as u64)
-                    .with_arg("wall_ms", wall),
-                );
-                done.lock().unwrap()[u] = Some(entry);
-            });
+    let outcomes = par_map(&unique, opts.threads, |w, (_, positions)| {
+        let spec = &plan.jobs()[positions[0]];
+        if opts.verbose {
+            eprintln!("  [sweep] running {}", spec.label());
         }
+        let begin_us = t0.elapsed().as_micros() as u64;
+        // Per-job timing is reporting metadata, never result bytes.
+        let tj = Instant::now(); // flumen-check: allow(det-wall-clock)
+        let result = spec.execute_with(opts.checkpoint.as_ref());
+        let wall = tj.elapsed().as_secs_f64() * 1e3;
+        cache.store(spec, &result, wall);
+        let end_us = t0.elapsed().as_micros() as u64;
+        (result, wall, w as u32, begin_us, end_us)
+    });
+
+    let executed = expect_all(outcomes, "sweep job(s) failed", |u| {
+        plan.jobs()[unique[u].1[0]].label()
     });
 
     // Fan executed results out to their plan positions.
-    let mut spans = spans.into_inner().unwrap();
-    spans.sort_by_key(|e| e.ts);
-    trace_events.extend(spans);
-    let done = done.into_inner().unwrap();
-    let mut failures: Vec<String> = Vec::new();
-    for ((spec, positions), outcome) in unique.into_iter().zip(done) {
-        match outcome.expect("worker completed every queued job") {
-            Ok((result, wall)) => {
-                for &i in &positions {
-                    slots[i] = Some((result.clone(), false, wall));
-                }
-            }
-            Err(msg) => failures.push(format!("{}: {msg}", spec.label())),
+    let mut spans = Vec::new();
+    for (u, ((_, positions), done)) in unique.iter().zip(executed).enumerate() {
+        let (result, wall, track, begin_us, end_us) = done;
+        let label = plan.jobs()[positions[0]].label();
+        let span = |kind, ts| {
+            TraceEvent::new(TraceCategory::Sweep, label.clone(), kind, ts, track).with_id(u as u64)
+        };
+        spans.push(span(EventKind::SpanBegin, begin_us));
+        spans.push(span(EventKind::SpanEnd, end_us.max(begin_us + 1)).with_arg("wall_ms", wall));
+        for &i in positions {
+            slots[i] = Some((result.clone(), false, wall));
         }
     }
-    assert!(
-        failures.is_empty(),
-        "sweep job(s) failed:\n  {}",
-        failures.join("\n  ")
-    );
+    spans.sort_by_key(|e| e.ts);
+    trace_events.extend(spans);
 
     let mut results = Vec::with_capacity(plan.len());
     let mut records = Vec::with_capacity(plan.len());
@@ -341,5 +282,6 @@ pub fn run_plan(plan: &SweepPlan, opts: &SweepOptions) -> SweepReport {
         records,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         trace_events,
+        cache: cache.stats(),
     }
 }

@@ -363,11 +363,8 @@ impl JobSpec {
     /// through `store` (keyed by this spec's content hash) and resume
     /// from the newest valid checkpoint when one exists. Resumption is
     /// bit-identical, so the result is cacheable under the same address
-    /// whether or not the run was interrupted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if checkpoint files cannot be read or written.
+    /// whether or not the run was interrupted. Checkpoint I/O failures
+    /// are counted in `store`, never fatal.
     pub fn execute_with(&self, store: Option<&CheckpointStore>) -> JobResult {
         match self {
             JobSpec::FullRun {
@@ -386,7 +383,6 @@ impl JobSpec {
                             &policy,
                             flumen_trace::TraceHandle::disabled(),
                         )
-                        .expect("checkpoint I/O")
                     }
                     None => run_benchmark(workload.as_ref(), *topology, cfg),
                 };

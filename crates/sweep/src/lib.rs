@@ -8,9 +8,10 @@
 //!   experiment (full-system benchmark run or NoC latency point) with a
 //!   stable SHA-256 content hash over its canonical JSON plus a
 //!   code-version salt.
-//! * **Execution** ([`SweepPlan`], [`run_plan`]): a thread pool pulling
-//!   from a shared queue. Results are keyed by plan index and every job
-//!   carries its own seed, so parallel and serial runs are bit-identical.
+//! * **Execution** ([`SweepPlan`], [`run_plan`]): the [`par_map`] worker
+//!   pool, shared with fleet pre-compilation and serve. Results are keyed
+//!   by plan index and every job carries its own seed, so parallel and
+//!   serial runs are bit-identical.
 //! * **Caching** ([`ResultCache`]): content-addressed JSON entries under
 //!   `EXPERIMENTS-data/cache/`. A re-run with unchanged parameters is
 //!   pure cache hits; changing any parameter (or [`CODE_VERSION`])
@@ -33,6 +34,7 @@ pub mod exec;
 pub mod hash;
 pub mod job;
 pub mod metrics;
+pub mod pool;
 pub mod progstore;
 pub mod sink;
 
@@ -48,4 +50,5 @@ pub use job::{
     BenchKind, BenchSize, BenchSpec, JobResult, JobSpec, NetSpec, NocStatsPoint, CODE_VERSION,
 };
 pub use json::{FromJson, Json, JsonError, ToJson};
+pub use pool::{dedup_positions, expect_all, par_map};
 pub use progstore::{plan_weight_blocks, precompile_blocks, precompile_plan, PrecompileReport};

@@ -4,8 +4,8 @@
 //! the same `N×N` SVD-MZIM blocks; across a grid of topologies and
 //! configs, the *distinct* block set is tiny compared to the job count.
 //! [`precompile_plan`] walks a plan (or any spec list), deduplicates the
-//! blocks by content hash, and fans the cold decompositions across a
-//! worker pool sharing one [`ProgramStore`] — so a whole fleet of sweep
+//! blocks by content hash, and fans the cold decompositions across the
+//! [`par_map`] pool sharing one [`ProgramStore`] — so a whole fleet of sweep
 //! workers (or serve replicas, see `flumen-serve`) pays each unique
 //! decomposition exactly once, and every later process starts disk-warm.
 //!
@@ -15,10 +15,10 @@
 //! grids, and result hashes are unchanged whether or not this ran.
 
 use crate::job::JobSpec;
+use crate::pool::{expect_all, par_map};
 use flumen_linalg::{BlockMatrix, RMat};
 use flumen_photonics::progstore::{derive_program, matrix_key, ProgramStore};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 /// What one pre-compilation pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,56 +61,37 @@ pub fn plan_weight_blocks(specs: &[JobSpec], width: usize) -> Vec<RMat> {
     blocks
 }
 
-/// Compiles every block into `store` (skipping resident entries) using
-/// `threads` workers over a shared queue — the same hand-rolled pool
-/// shape as [`crate::exec::run_plan`]. Safe to run concurrently from many
+/// Compiles every block into `store` (skipping resident entries) on
+/// `threads` [`par_map`] workers. Safe to run concurrently from many
 /// processes against one store directory: entries are written atomically
 /// and racing writers produce identical bytes.
 ///
 /// # Panics
 ///
-/// Propagates decomposition failures (a weight block that cannot be
-/// decomposed is a workload bug, not a runtime condition).
+/// Panics after every block has been tried if any block fails to
+/// decompose (a weight block that cannot be decomposed is a workload bug,
+/// not a runtime condition), listing every failing block.
 pub fn precompile_blocks(
     blocks: &[RMat],
     store: &ProgramStore,
     threads: usize,
 ) -> PrecompileReport {
-    let threads = threads.max(1).min(blocks.len().max(1));
-    let next = Mutex::new(0usize);
-    let counts = Mutex::new((0usize, 0usize)); // (compiled, warm_hits)
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = {
-                    let mut n = next.lock().unwrap();
-                    let i = *n;
-                    if i >= blocks.len() {
-                        return;
-                    }
-                    *n += 1;
-                    i
-                };
-                let b = &blocks[i];
-                let key = matrix_key(b);
-                let w = b.rows();
-                if store.load(&key, w).is_some() {
-                    counts.lock().unwrap().1 += 1;
-                    continue;
-                }
-                let prog = derive_program(b).expect("plan weight block decomposes");
-                store.store(&key, w, &prog);
-                counts.lock().unwrap().0 += 1;
-            });
+    let outcomes = par_map(blocks, threads, |_, b| {
+        let key = matrix_key(b);
+        let w = b.rows();
+        if store.load(&key, w).is_some() {
+            return false;
         }
+        let prog = derive_program(b).expect("plan weight block decomposes");
+        store.store(&key, w, &prog);
+        true
     });
-
-    let (compiled, warm_hits) = counts.into_inner().unwrap();
+    let compiled = expect_all(outcomes, "precompile failed", |i| format!("block {i}"));
+    let cold = compiled.iter().filter(|&&c| c).count();
     PrecompileReport {
         distinct_blocks: blocks.len(),
-        compiled,
-        warm_hits,
+        compiled: cold,
+        warm_hits: blocks.len() - cold,
     }
 }
 

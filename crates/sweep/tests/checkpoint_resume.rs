@@ -65,7 +65,7 @@ fn killed_job_resumes_to_the_same_result_hash() {
         }
         assert!(!sim.finished(), "checkpoint must land mid-run");
         let policy = store.policy_for(&spec.content_hash());
-        policy.write(sim.cycle(), sim.snapshot()).unwrap();
+        assert!(policy.write(sim.cycle(), sim.snapshot()));
         assert_eq!(policy.files().len(), 1);
     }
 

@@ -7,7 +7,7 @@
 
 use flumen_noc::harness::RunConfig;
 use flumen_noc::traffic::TrafficPattern;
-use flumen_sweep::{run_plan, JobSpec, NetSpec, ResultCache, SweepOptions, SweepPlan};
+use flumen_sweep::{run_plan, JobSpec, NetSpec, ResultCache, SweepOptions, SweepPlan, ToJson};
 use std::path::{Path, PathBuf};
 
 fn tiny_cfg(seed: u64) -> RunConfig {
@@ -232,4 +232,26 @@ fn duplicate_jobs_execute_once_and_share_the_result() {
     }
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unwritable_cache_dir_only_counts_write_failures() {
+    let plan = sample_plan();
+    let good = tmp_dir("writable");
+    let reference = run_plan(&plan, &opts(2, &good));
+
+    // A regular file where the cache directory should be: every write
+    // fails, whatever the process's privileges.
+    let blocked = tmp_dir("blocked");
+    std::fs::write(&blocked, b"not a directory").unwrap();
+    let report = run_plan(&plan, &opts(2, &blocked));
+    assert_eq!(report.executed(), plan.len());
+    assert_eq!(report.cache.write_failures, plan.len() as u64);
+    assert_eq!(report.cache.writes, 0);
+    for (a, b) in reference.results.iter().zip(&report.results) {
+        assert_eq!(a.to_json().to_canonical(), b.to_json().to_canonical());
+    }
+
+    std::fs::remove_dir_all(&good).unwrap();
+    std::fs::remove_file(&blocked).unwrap();
 }

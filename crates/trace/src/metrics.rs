@@ -1,11 +1,9 @@
-//! Counters and power-of-two-bucket histograms, in the same reservoir
-//! style as `flumen-noc`'s `NetStats` latency histogram.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+//! Power-of-two-bucket histograms. `flumen-noc`'s `NetStats` latency
+//! histogram buckets through the same [`pow2_bucket`].
 
 /// The power-of-two bucket index for a value: bucket `i` covers
 /// `[2^i, 2^{i+1})`, with bucket 0 also holding the values 0 and 1.
+#[inline]
 pub fn pow2_bucket(v: u64, buckets: usize) -> usize {
     (64 - v.max(1).leading_zeros() as usize - 1).min(buckets - 1)
 }
@@ -108,94 +106,9 @@ impl Histogram {
     }
 }
 
-/// A named collection of counters and histograms.
-///
-/// Thread-safe (one registry may be shared across sweep workers); names
-/// are kept sorted so rendered output is deterministic.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `by` to counter `name` (creating it at zero).
-    pub fn incr(&self, name: &str, by: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Records `v` into histogram `name` (creating it empty).
-    pub fn observe(&self, name: &str, v: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
-    }
-
-    /// Current value of a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Snapshot of a histogram (`None` when absent).
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.lock().unwrap().histograms.get(name).cloned()
-    }
-
-    /// Snapshot of every counter, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
-            .unwrap()
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// Folds a recorded event stream into the registry: every
-    /// [`crate::EventKind::Instant`] increments the counter
-    /// `"<category>.<name>"`, and every latency-carrying async end (an
-    /// `"lat"` argument) feeds the histogram of the same key.
-    pub fn absorb(&self, events: &[crate::TraceEvent]) {
-        for ev in events {
-            let key = format!("{}.{}", ev.category.name(), ev.name);
-            match ev.kind {
-                crate::EventKind::Instant => self.incr(&key, 1),
-                crate::EventKind::AsyncEnd => {
-                    if let Some(lat) = ev.arg("lat") {
-                        self.observe(&key, lat as u64);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceCategory, TraceEvent};
 
     #[test]
     fn bucket_edges() {
@@ -247,33 +160,5 @@ mod tests {
         assert_eq!(h.min, 2);
         assert_eq!(h.max, 6);
         assert_eq!(h.mean(), Some(4.0));
-    }
-
-    #[test]
-    fn registry_counts_and_observes() {
-        let m = MetricsRegistry::new();
-        m.incr("a", 2);
-        m.incr("a", 3);
-        m.observe("lat", 10);
-        m.observe("lat", 30);
-        assert_eq!(m.counter("a"), 5);
-        assert_eq!(m.counter("missing"), 0);
-        let h = m.histogram("lat").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(m.counters(), vec![("a".to_string(), 5)]);
-    }
-
-    #[test]
-    fn absorb_folds_events() {
-        let m = MetricsRegistry::new();
-        let evs = vec![
-            TraceEvent::instant(TraceCategory::Noc, "inject", 0, 0),
-            TraceEvent::instant(TraceCategory::Noc, "inject", 1, 0),
-            TraceEvent::new(TraceCategory::Noc, "pkt", crate::EventKind::AsyncEnd, 9, 0)
-                .with_arg("lat", 9.0),
-        ];
-        m.absorb(&evs);
-        assert_eq!(m.counter("noc.inject"), 2);
-        assert_eq!(m.histogram("noc.pkt").unwrap().count, 1);
     }
 }
