@@ -42,11 +42,11 @@ fn bench_wavefront(c: &mut Criterion) {
     use flumen_noc::WavefrontArbiter;
     let mut group = c.benchmark_group("wavefront_arbiter");
     for n in [16usize, 64] {
-        let requests: Vec<Vec<usize>> = (0..n).map(|i| vec![(i * 7 + 3) % n]).collect();
-        let busy = vec![false; n];
+        let requests: Vec<u64> = (0..n).map(|i| 1 << ((i * 7 + 3) % n)).collect();
+        let mut grants = vec![None; n];
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let mut arb = WavefrontArbiter::new(n);
-            b.iter(|| arb.arbitrate(&requests, &busy, &busy))
+            b.iter(|| arb.arbitrate(&requests, 0, 0, &mut grants))
         });
     }
     group.finish();

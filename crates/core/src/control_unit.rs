@@ -482,6 +482,21 @@ impl ExternalServer<MzimCrossbar> for MzimControlUnit {
         self.queue.len() + self.active.len() + self.finished.len()
     }
 
+    /// Queued requests and unreported completions act now; otherwise
+    /// the next partition completion is the only event.
+    fn next_activity(&self, now: u64) -> Option<u64> {
+        if !self.queue.is_empty() || !self.finished.is_empty() {
+            return Some(now);
+        }
+        self.active.peek_deadline().map(|t| t.value().max(now))
+    }
+
+    fn advance_idle(&mut self, k: u64) {
+        if !self.active.is_empty() {
+            self.counts.mzim_active_cycles += k;
+        }
+    }
+
     fn drain_counts(&mut self, counts: &mut ActivityCounts) {
         counts.merge(&self.counts);
         self.counts = ActivityCounts::default();

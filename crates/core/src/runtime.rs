@@ -6,7 +6,7 @@ use crate::control_unit::{ControlUnitParams, MzimControlUnit};
 use flumen_linalg::store::ByteStore;
 use flumen_noc::{CrossbarConfig, MzimCrossbar, NetStats, OpticalBus, RoutedNetwork};
 use flumen_power::{system_energy, EnergyBreakdown, EnergyParams, NopKind};
-use flumen_sim::{Snapshot, Snapshotable};
+use flumen_sim::{run_until, Clock, Cycles, SimCtx, Snapshot, Snapshotable};
 use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemSim};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
@@ -372,13 +372,22 @@ where
         }
     };
 
-    // Step manually so the simulation can be snapshotted mid-flight; the
-    // final consuming `run` call finds the system already finished (or
-    // already out of budget) and only performs result finalization, so the
-    // outcome is identical to an uninterrupted `SystemSim::run`.
+    // Run to each multiple of `every` in turn so the simulation can be
+    // snapshotted there; an idle skip never jumps past one. The final
+    // consuming `run` call finds the system already finished (or already
+    // out of budget) and only performs result finalization, so the outcome
+    // is identical to an uninterrupted `SystemSim::run`.
     let every = policy.every_cycles.max(1);
+    let mut ctx = SimCtx::new(0);
     while !sim.finished() && sim.cycle() < cfg.max_cycles {
-        sim.step();
+        let boundary = (sim.cycle() / every + 1) * every;
+        let mut clock = Clock::at(Cycles::new(sim.cycle()));
+        run_until(
+            &mut sim,
+            &mut ctx,
+            &mut clock,
+            Cycles::new(boundary.min(cfg.max_cycles)),
+        );
         let now = sim.cycle();
         if now.is_multiple_of(every)
             && !sim.finished()

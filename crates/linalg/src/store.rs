@@ -249,4 +249,28 @@ mod tests {
         assert!(s.names("").is_empty());
         let _ = fs::remove_file(&blocker);
     }
+
+    #[test]
+    fn failed_rename_is_counted_and_leaves_no_temp_file() {
+        // A non-empty directory where the entry should land: the temp file
+        // is written, but no rename can replace the directory, whatever
+        // the process's privileges.
+        let dir = scratch_path("rename");
+        let s = ByteStore::open(&dir);
+        fs::create_dir_all(s.path("e").join("occupant")).unwrap();
+        assert!(!s.put("e", b"body"));
+        let st = s.stats();
+        assert_eq!((st.writes, st.write_failures), (0, 1));
+        let left: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .collect();
+        assert_eq!(left, vec!["e".to_string()], "the temp file is removed");
+        // The blocked name reads as a miss; other names still publish.
+        assert_eq!(s.load("e", accept), None);
+        assert!(s.put("f", b"body"));
+        assert_eq!(s.load("f", accept).as_deref(), Some(&b"body"[..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -214,6 +214,20 @@ impl Network for OpticalBus {
     fn pending(&self) -> usize {
         self.src_queues.iter().map(|q| q.len()).sum::<usize>() + self.in_flight.len()
     }
+
+    fn next_activity(&self) -> Option<u64> {
+        if self.src_queues.iter().any(|q| !q.is_empty()) {
+            return Some(self.cycle);
+        }
+        self.in_flight.next_due().map(|at| at.max(self.cycle))
+    }
+
+    fn advance_idle(&mut self, k: u64) {
+        // The token moves only on a grant, so an idle cycle leaves it.
+        debug_assert!(self.next_activity().is_none_or(|t| t >= self.cycle + k));
+        self.cycle += k;
+        self.stats.cycles += k;
+    }
 }
 
 // Checkpoint support. As with the crossbar, `in_flight` keeps its exact

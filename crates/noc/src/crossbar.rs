@@ -54,6 +54,16 @@ pub struct MzimCrossbar {
     voq: Vec<Vec<Fifo<Packet>>>,
     /// Multicast packets queue separately per input and are served first.
     mcast_queues: Vec<Fifo<Packet>>,
+    /// Packets in `voq` and `mcast_queues`, so `pending` and the test for
+    /// an empty step cost O(1).
+    queued: usize,
+    /// Bit `j` of `voq_mask[i]` is set while `voq[i][j]` is non-empty:
+    /// the arbiter's request matrix.
+    voq_mask: Vec<u64>,
+    /// Bit `i` is set while `mcast_queues[i]` is non-empty.
+    mcast_mask: u64,
+    /// The arbiter's grants, reused every step.
+    grants: Vec<Option<usize>>,
     arb: WavefrontArbiter,
     in_busy_until: Vec<u64>,
     out_busy_until: Vec<u64>,
@@ -72,11 +82,13 @@ impl MzimCrossbar {
     ///
     /// # Errors
     ///
-    /// Returns [`NocError::InvalidTopology`] for fewer than 2 endpoints.
+    /// Returns [`NocError::InvalidTopology`] for fewer than 2 or more
+    /// than [`WavefrontArbiter::MAX_PORTS`] endpoints.
     pub fn new(nodes: usize, cfg: CrossbarConfig) -> Result<Self> {
-        if nodes < 2 {
+        let max = WavefrontArbiter::MAX_PORTS;
+        if !(2..=max).contains(&nodes) {
             return Err(NocError::InvalidTopology {
-                reason: "crossbar needs ≥ 2 nodes".into(),
+                reason: format!("crossbar needs 2 to {max} nodes"),
             });
         }
         Ok(MzimCrossbar {
@@ -86,6 +98,10 @@ impl MzimCrossbar {
                 .map(|_| (0..nodes).map(|_| Fifo::unbounded()).collect())
                 .collect(),
             mcast_queues: (0..nodes).map(|_| Fifo::unbounded()).collect(),
+            queued: 0,
+            voq_mask: vec![0; nodes],
+            mcast_mask: 0,
+            grants: vec![None; nodes],
             arb: WavefrontArbiter::new(nodes),
             in_busy_until: vec![0; nodes],
             out_busy_until: vec![0; nodes],
@@ -164,6 +180,90 @@ impl MzimCrossbar {
             .collect()
     }
 
+    /// Rebuilds `queued` and the masks from the queues (after restore).
+    fn recount(&mut self) {
+        self.queued = 0;
+        self.mcast_mask = 0;
+        for (i, q) in self.mcast_queues.iter().enumerate() {
+            self.queued += q.len();
+            if !q.is_empty() {
+                self.mcast_mask |= 1 << i;
+            }
+        }
+        for (row, mask) in self.voq.iter().zip(&mut self.voq_mask) {
+            *mask = 0;
+            for (j, q) in row.iter().enumerate() {
+                self.queued += q.len();
+                if !q.is_empty() {
+                    *mask |= 1 << j;
+                }
+            }
+        }
+    }
+
+    fn pop_mcast(&mut self, i: usize) -> Option<Packet> {
+        let pkt = self.mcast_queues[i].pop_front()?;
+        self.queued -= 1;
+        if self.mcast_queues[i].is_empty() {
+            self.mcast_mask &= !(1 << i);
+        }
+        Some(pkt)
+    }
+
+    fn pop_voq(&mut self, i: usize, j: usize) -> Option<Packet> {
+        let pkt = self.voq[i][j].pop_front()?;
+        self.queued -= 1;
+        if self.voq[i][j].is_empty() {
+            self.voq_mask[i] &= !(1 << j);
+        }
+        Some(pkt)
+    }
+
+    /// Starts every queued head the multicast pass and the wavefront
+    /// arbiter grant this cycle.
+    fn start_queued(&mut self, now: u64) {
+        // Multicast heads first (they need several outputs at once).
+        let mut mcast = self.mcast_mask;
+        while mcast != 0 {
+            let i = mcast.trailing_zeros() as usize;
+            mcast &= mcast - 1;
+            if self.reserved[i] || self.in_busy_until[i] > now {
+                continue;
+            }
+            let ready = self.mcast_queues[i].front().is_some_and(|p| {
+                !p.dests()
+                    .iter()
+                    .any(|&d| self.out_busy_until[d] > now || self.reserved[d])
+            });
+            if !ready {
+                continue;
+            }
+            if let Some(pkt) = self.pop_mcast(i) {
+                self.start(i, pkt, now);
+            }
+        }
+        // Unicast VOQs via the wavefront arbiter: each input requests every
+        // output it has traffic for.
+        let (mut row_busy, mut col_busy) = (0u64, 0u64);
+        for k in 0..self.nodes {
+            if self.in_busy_until[k] > now || self.reserved[k] {
+                row_busy |= 1 << k;
+            }
+            if self.out_busy_until[k] > now || self.reserved[k] {
+                col_busy |= 1 << k;
+            }
+        }
+        self.arb
+            .arbitrate(&self.voq_mask, row_busy, col_busy, &mut self.grants);
+        for i in 0..self.nodes {
+            if let Some(j) = self.grants[i] {
+                if let Some(pkt) = self.pop_voq(i, j) {
+                    self.start(i, pkt, now);
+                }
+            }
+        }
+    }
+
     /// Starts transmitting a packet from input `input` (already dequeued).
     fn start(&mut self, input: usize, pkt: Packet, now: u64) {
         let dests = pkt.dests();
@@ -234,58 +334,24 @@ impl Network for MzimCrossbar {
             .with_arg("ndest", pkt.dests().len() as f64)
             .with_arg("bits", pkt.bits as f64)
         });
+        self.queued += 1;
         if pkt.is_multicast() {
+            self.mcast_mask |= 1 << pkt.src;
             self.mcast_queues[pkt.src].push_back(pkt);
         } else {
             let (src, dst) = (pkt.src, pkt.dst);
+            self.voq_mask[src] |= 1 << dst;
             self.voq[src][dst].push_back(pkt);
         }
     }
 
     fn step(&mut self) -> Vec<Delivery> {
         let now = self.cycle;
-        // Multicast heads first (they need several outputs at once).
-        for i in 0..self.nodes {
-            if self.reserved[i] || self.in_busy_until[i] > now {
-                continue;
-            }
-            let ready = self.mcast_queues[i].front().is_some_and(|p| {
-                !p.dests()
-                    .iter()
-                    .any(|&d| self.out_busy_until[d] > now || self.reserved[d])
-            });
-            if !ready {
-                continue;
-            }
-            if let Some(pkt) = self.mcast_queues[i].pop_front() {
-                self.start(i, pkt, now);
-            }
-        }
-        // Unicast VOQs via the wavefront arbiter: each input requests every
-        // output it has traffic for.
-        let requests: Vec<Vec<usize>> = (0..self.nodes)
-            .map(|i| {
-                if self.reserved[i] || self.in_busy_until[i] > now {
-                    return Vec::new();
-                }
-                (0..self.nodes)
-                    .filter(|&j| !self.voq[i][j].is_empty() && !self.reserved[j])
-                    .collect()
-            })
-            .collect();
-        let row_busy: Vec<bool> = (0..self.nodes)
-            .map(|i| self.in_busy_until[i] > now || self.reserved[i])
-            .collect();
-        let col_busy: Vec<bool> = (0..self.nodes)
-            .map(|o| self.out_busy_until[o] > now || self.reserved[o])
-            .collect();
-        let grants = self.arb.arbitrate(&requests, &row_busy, &col_busy);
-        for (i, g) in grants.iter().enumerate() {
-            if let Some(j) = g {
-                if let Some(pkt) = self.voq[i][*j].pop_front() {
-                    self.start(i, pkt, now);
-                }
-            }
+        if self.queued == 0 {
+            // Nothing to arbitrate; the priority diagonal still moves.
+            self.arb.rotate_by(1);
+        } else {
+            self.start_queued(now);
         }
         // Deliveries.
         let mut deliveries = Vec::new();
@@ -334,7 +400,21 @@ impl Network for MzimCrossbar {
     }
 
     fn pending(&self) -> usize {
-        self.queue_depths().iter().sum::<usize>() + self.in_flight.len()
+        self.queued + self.in_flight.len()
+    }
+
+    fn next_activity(&self) -> Option<u64> {
+        if self.queued > 0 {
+            return Some(self.cycle);
+        }
+        self.in_flight.next_due().map(|at| at.max(self.cycle))
+    }
+
+    fn advance_idle(&mut self, k: u64) {
+        debug_assert!(self.next_activity().is_none_or(|t| t >= self.cycle + k));
+        self.arb.rotate_by(k);
+        self.cycle += k;
+        self.stats.cycles += k;
     }
 }
 
@@ -372,6 +452,16 @@ impl flumen_sim::Snapshotable for MzimCrossbar {
         self.reserved = Vec::from_json(j.get("reserved")?)?;
         self.stats = NetStats::from_json(j.get("stats")?)?;
         self.voq = Vec::from_json(j.get("voq")?)?;
+        if self.voq.len() != self.nodes
+            || self.voq.iter().any(|row| row.len() != self.nodes)
+            || self.mcast_queues.len() != self.nodes
+        {
+            return Err(flumen_sim::JsonError(format!(
+                "MzimCrossbar: snapshot queues do not match {} nodes",
+                self.nodes
+            )));
+        }
+        self.recount();
         Ok(())
     }
 }
@@ -490,6 +580,31 @@ mod tests {
         net.release_wires(&[8, 9, 10, 11]).unwrap();
         let got2 = drain(&mut net, 50);
         assert_eq!(got2.len(), 2);
+    }
+
+    #[test]
+    fn port_count_is_bounded_by_the_request_masks() {
+        assert!(MzimCrossbar::new(1, CrossbarConfig::default()).is_err());
+        assert!(MzimCrossbar::new(64, CrossbarConfig::default()).is_ok());
+        assert!(MzimCrossbar::new(65, CrossbarConfig::default()).is_err());
+    }
+
+    #[test]
+    fn restore_rebuilds_queue_counts_and_rejects_other_shapes() {
+        use flumen_sim::Snapshotable;
+        let mut net = MzimCrossbar::flumen_16();
+        net.inject(Packet::new(1, 3, 4, 512, 0));
+        net.inject(Packet::multicast(2, 5, &[1, 2], 512, 0));
+        let snap = net.snapshot();
+        let mut back = MzimCrossbar::flumen_16();
+        back.restore(&snap).unwrap();
+        assert_eq!(back.pending(), 2);
+        assert_eq!(back.next_activity(), Some(0));
+        assert_eq!(drain(&mut back, 50).len(), 3);
+        assert!(MzimCrossbar::new(8, CrossbarConfig::default())
+            .unwrap()
+            .restore(&snap)
+            .is_err());
     }
 
     #[test]

@@ -58,6 +58,16 @@ impl RrToken {
             _ => (self.pos + 1) % n,
         };
     }
+
+    /// Advances the token by `k` positions: `k` calls to
+    /// [`RrToken::rotate`] at once.
+    pub fn rotate_by(&mut self, k: u64, n: usize) {
+        self.pos = match (k, n) {
+            (0, _) => self.pos,
+            (_, 0) => 0,
+            _ => ((self.pos as u64 + k % n as u64) % n as u64) as usize,
+        };
+    }
 }
 
 impl ToJson for RrToken {
@@ -102,6 +112,22 @@ mod tests {
         t.rotate(3);
         t.rotate(3);
         assert_eq!(t.pos(), 0);
+    }
+
+    #[test]
+    fn rotate_by_matches_repeated_rotate() {
+        for n in 0..6 {
+            for k in 0..13u64 {
+                let (mut a, mut b) = (RrToken::new(), RrToken::new());
+                a.set_pos(4);
+                b.set_pos(4);
+                a.rotate_by(k, n);
+                for _ in 0..k {
+                    b.rotate(n);
+                }
+                assert_eq!(a, b, "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

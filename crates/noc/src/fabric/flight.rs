@@ -42,6 +42,11 @@ impl<T> FlightBuffer<T> {
         }
     }
 
+    /// The earliest arrival cycle in flight.
+    pub fn next_due(&self) -> Option<u64> {
+        self.entries.iter().map(|(at, _)| *at).min()
+    }
+
     /// Items currently in flight.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -79,4 +79,20 @@ pub trait Network {
     fn stats_mut(&mut self) -> &mut NetStats;
     /// Packets somewhere in the network (source queues + in flight).
     fn pending(&self) -> usize;
+    /// The earliest cycle `>= cycle()` whose `step` may do more than
+    /// [`Network::advance_idle`] replays, or `None` if no step will until
+    /// the next `inject`. The default says every cycle acts while
+    /// anything is pending.
+    fn next_activity(&self) -> Option<u64> {
+        (self.pending() > 0).then(|| self.cycle())
+    }
+    /// Replays `k` cycles that all fall before [`Network::next_activity`]:
+    /// afterwards the state must equal that of `k` calls to `step`, none
+    /// of which would deliver anything. The default makes those calls.
+    fn advance_idle(&mut self, k: u64) {
+        for _ in 0..k {
+            let delivered = self.step();
+            debug_assert!(delivered.is_empty(), "advance_idle over a delivery");
+        }
+    }
 }

@@ -415,6 +415,29 @@ impl Network for RoutedNetwork {
                 .map(|r| r.inputs.iter().map(|q| q.len()).sum::<usize>())
                 .sum::<usize>()
     }
+
+    fn next_activity(&self) -> Option<u64> {
+        let queued = self.src_queues.iter().any(|q| !q.is_empty())
+            || self
+                .routers
+                .iter()
+                .any(|r| r.inputs.iter().any(|q| !q.is_empty()));
+        if queued {
+            return Some(self.cycle);
+        }
+        self.in_flight.next_due().map(|at| at.max(self.cycle))
+    }
+
+    fn advance_idle(&mut self, k: u64) {
+        // Every router rotates its token once per cycle, grant or not.
+        debug_assert!(self.next_activity().is_none_or(|t| t >= self.cycle + k));
+        for r in &mut self.routers {
+            let nports = r.inputs.len();
+            r.rr.rotate_by(k, nports);
+        }
+        self.cycle += k;
+        self.stats.cycles += k;
+    }
 }
 
 flumen_sim::json_struct!(TimedPkt { pkt, ready_at });

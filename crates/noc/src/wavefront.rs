@@ -15,8 +15,21 @@ pub struct WavefrontArbiter {
 }
 
 impl WavefrontArbiter {
+    /// Most ports an arbiter serves: requests and busy sets are `u64` bit
+    /// masks, one bit per port.
+    pub const MAX_PORTS: usize = 64;
+
     /// Creates an arbiter for an `n×n` crossbar.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`WavefrontArbiter::MAX_PORTS`].
     pub fn new(n: usize) -> Self {
+        assert!(
+            n <= Self::MAX_PORTS,
+            "wavefront arbiter serves at most {} ports",
+            Self::MAX_PORTS
+        );
         WavefrontArbiter { n, priority: 0 }
     }
 
@@ -36,42 +49,61 @@ impl WavefrontArbiter {
         self.priority = p % self.n.max(1);
     }
 
-    /// Computes a maximal-ish matching for the given request matrix.
-    /// `requests[i]` lists the outputs input `i` wants (usually one — the
-    /// head packet's destination). Returns `grants[i] = Some(output)`.
+    /// Advances the priority diagonal as `k` calls to
+    /// [`WavefrontArbiter::arbitrate`] without requests would.
+    pub fn rotate_by(&mut self, k: u64) {
+        let n = self.n.max(1) as u64;
+        self.priority = ((self.priority as u64 + k % n) % n) as usize;
+    }
+
+    /// Computes a maximal-ish matching. Bit `j` of `requests[i]` says
+    /// input `i` wants output `j` (usually one bit — the head packet's
+    /// destination). Writes `grants[i] = Some(output)`, `None` elsewhere.
     ///
-    /// Rows/columns already claimed by `row_busy`/`col_busy` (connections
-    /// held by in-flight packets) are skipped. The priority diagonal
-    /// advances on every call for fairness.
+    /// Rows/columns set in `row_busy`/`col_busy` (connections held by
+    /// in-flight packets) are skipped. The priority diagonal advances on
+    /// every call for fairness. Nothing is allocated.
     pub fn arbitrate(
         &mut self,
-        requests: &[Vec<usize>],
-        row_busy: &[bool],
-        col_busy: &[bool],
-    ) -> Vec<Option<usize>> {
+        requests: &[u64],
+        row_busy: u64,
+        col_busy: u64,
+        grants: &mut [Option<usize>],
+    ) {
         assert_eq!(requests.len(), self.n);
+        assert_eq!(grants.len(), self.n);
         let n = self.n;
-        let mut grants: Vec<Option<usize>> = vec![None; n];
-        let mut col_taken: Vec<bool> = col_busy.to_vec();
-        let mut row_taken: Vec<bool> = row_busy.to_vec();
+        grants.fill(None);
+        // Rows that can still win: free and requesting something. A row
+        // outside this set never wins, so scanning only its members in
+        // ascending order grants exactly what a scan of all rows would.
+        let mut rows = requests
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r != 0)
+            .fold(0u64, |m, (i, _)| m | 1 << i)
+            & !row_busy;
+        let mut col_taken = col_busy;
 
         // Walk n anti-diagonals starting at the priority diagonal.
         for d in 0..n {
+            if rows == 0 {
+                break;
+            }
             let diag = (self.priority + d) % n;
-            for i in 0..n {
+            let mut scan = rows;
+            while scan != 0 {
+                let i = scan.trailing_zeros() as usize;
+                scan &= scan - 1;
                 let j = (diag + n - i) % n;
-                if row_taken[i] || col_taken[j] {
-                    continue;
-                }
-                if requests[i].contains(&j) {
+                if col_taken >> j & 1 == 0 && requests[i] >> j & 1 == 1 {
                     grants[i] = Some(j);
-                    row_taken[i] = true;
-                    col_taken[j] = true;
+                    rows &= !(1 << i);
+                    col_taken |= 1 << j;
                 }
             }
         }
         self.priority = (self.priority + 1) % n;
-        grants
     }
 }
 
@@ -79,11 +111,22 @@ impl WavefrontArbiter {
 mod tests {
     use super::*;
 
+    /// Bit mask with the listed positions set.
+    fn mask(bits: &[usize]) -> u64 {
+        bits.iter().fold(0, |m, &b| m | 1 << b)
+    }
+
+    fn run(a: &mut WavefrontArbiter, reqs: &[u64], rows: u64, cols: u64) -> Vec<Option<usize>> {
+        let mut g = vec![Some(99); a.n()];
+        a.arbitrate(reqs, rows, cols, &mut g);
+        g
+    }
+
     #[test]
     fn grants_are_a_matching() {
         let mut a = WavefrontArbiter::new(4);
-        let reqs = vec![vec![0, 1], vec![0], vec![0], vec![3]];
-        let g = a.arbitrate(&reqs, &[false; 4], &[false; 4]);
+        let reqs = [mask(&[0, 1]), mask(&[0]), mask(&[0]), mask(&[3])];
+        let g = run(&mut a, &reqs, 0, 0);
         // No two inputs share an output.
         let mut used = [false; 4];
         for gi in g.iter().flatten() {
@@ -97,16 +140,16 @@ mod tests {
     #[test]
     fn conflict_free_requests_all_granted() {
         let mut a = WavefrontArbiter::new(4);
-        let reqs = vec![vec![1], vec![2], vec![3], vec![0]];
-        let g = a.arbitrate(&reqs, &[false; 4], &[false; 4]);
+        let reqs = [mask(&[1]), mask(&[2]), mask(&[3]), mask(&[0])];
+        let g = run(&mut a, &reqs, 0, 0);
         assert_eq!(g, vec![Some(1), Some(2), Some(3), Some(0)]);
     }
 
     #[test]
     fn busy_rows_and_cols_skipped() {
         let mut a = WavefrontArbiter::new(3);
-        let reqs = vec![vec![0], vec![1], vec![2]];
-        let g = a.arbitrate(&reqs, &[true, false, false], &[false, true, false]);
+        let reqs = [mask(&[0]), mask(&[1]), mask(&[2])];
+        let g = run(&mut a, &reqs, mask(&[0]), mask(&[1]));
         assert_eq!(g[0], None); // row busy
         assert_eq!(g[1], None); // wants busy col
         assert_eq!(g[2], Some(2));
@@ -116,10 +159,10 @@ mod tests {
     fn priority_rotates_for_fairness() {
         let mut a = WavefrontArbiter::new(2);
         // Both inputs want output 0 forever; grants must alternate.
-        let reqs = vec![vec![0], vec![0]];
+        let reqs = [mask(&[0]), mask(&[0])];
         let mut winners = Vec::new();
         for _ in 0..4 {
-            let g = a.arbitrate(&reqs, &[false; 2], &[false; 2]);
+            let g = run(&mut a, &reqs, 0, 0);
             let w = g.iter().position(|x| x.is_some()).unwrap();
             winners.push(w);
         }
@@ -129,7 +172,22 @@ mod tests {
     #[test]
     fn empty_requests_no_grants() {
         let mut a = WavefrontArbiter::new(3);
-        let g = a.arbitrate(&vec![vec![]; 3], &[false; 3], &[false; 3]);
+        let g = run(&mut a, &[0; 3], 0, 0);
         assert!(g.iter().all(|x| x.is_none()));
+    }
+
+    #[test]
+    fn rotate_by_matches_idle_calls() {
+        for k in 0..40u64 {
+            let mut a = WavefrontArbiter::new(16);
+            let mut b = a.clone();
+            a.set_priority(5);
+            b.set_priority(5);
+            a.rotate_by(k);
+            for _ in 0..k {
+                run(&mut b, &[0; 16], 0, 0);
+            }
+            assert_eq!(a.priority(), b.priority(), "k={k}");
+        }
     }
 }

@@ -12,6 +12,46 @@ use rand::{Rng, SeedableRng};
 
 /// Every injected packet is eventually delivered, exactly once, to its
 /// destination — on every topology, for arbitrary traffic.
+/// Bit mask with the listed ports set.
+fn mask(ports: &[usize]) -> u64 {
+    ports.iter().fold(0, |m, &p| m | 1 << p)
+}
+
+/// Bit mask of the `true` flags.
+fn mask_of(flags: &[bool]) -> u64 {
+    flags
+        .iter()
+        .enumerate()
+        .fold(0, |m, (i, &f)| m | u64::from(f) << i)
+}
+
+/// The wavefront as a plain scan of every row on every diagonal, over
+/// request lists: the reference the mask arbiter must match grant for
+/// grant.
+fn list_wavefront(
+    priority: usize,
+    requests: &[Vec<usize>],
+    row_busy: &[bool],
+    col_busy: &[bool],
+) -> Vec<Option<usize>> {
+    let n = requests.len();
+    let mut grants = vec![None; n];
+    let mut row_taken = row_busy.to_vec();
+    let mut col_taken = col_busy.to_vec();
+    for d in 0..n {
+        let diag = (priority + d) % n;
+        for i in 0..n {
+            let j = (diag + n - i) % n;
+            if !row_taken[i] && !col_taken[j] && requests[i].contains(&j) {
+                grants[i] = Some(j);
+                row_taken[i] = true;
+                col_taken[j] = true;
+            }
+        }
+    }
+    grants
+}
+
 fn check_conservation<N: Network>(mut net: N, seed: u64, packets: usize) -> Result<(), String> {
     let n = net.num_nodes();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -145,7 +185,13 @@ proptest! {
         let row_busy: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
         let col_busy: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
         let mut arb = WavefrontArbiter::new(n);
-        let grants = arb.arbitrate(&requests, &row_busy, &col_busy);
+        let mut grants = vec![None; n];
+        arb.arbitrate(
+            &requests.iter().map(|r| mask(r)).collect::<Vec<_>>(),
+            mask_of(&row_busy),
+            mask_of(&col_busy),
+            &mut grants,
+        );
         let mut used_out = vec![false; n];
         for (i, g) in grants.iter().enumerate() {
             if let Some(j) = g {
@@ -155,6 +201,32 @@ proptest! {
                 prop_assert!(!used_out[*j], "output granted twice");
                 used_out[*j] = true;
             }
+        }
+    }
+
+    #[test]
+    fn wavefront_masks_grant_as_the_list_scan(n in 2usize..65, seed in any::<u32>(), rounds in 1usize..6) {
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let mut arb = WavefrontArbiter::new(n);
+        arb.set_priority(rng.gen_range(0..n));
+        let mut priority = arb.priority();
+        for _ in 0..rounds {
+            let requests: Vec<Vec<usize>> = (0..n)
+                .map(|_| (0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..n)).collect())
+                .collect();
+            let row_busy: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+            let col_busy: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+            let mut grants = vec![Some(usize::MAX); n];
+            arb.arbitrate(
+                &requests.iter().map(|r| mask(r)).collect::<Vec<_>>(),
+                mask_of(&row_busy),
+                mask_of(&col_busy),
+                &mut grants,
+            );
+            let want = list_wavefront(priority, &requests, &row_busy, &col_busy);
+            prop_assert_eq!(grants, want);
+            priority = (priority + 1) % n;
+            prop_assert_eq!(arb.priority(), priority);
         }
     }
 

@@ -36,6 +36,12 @@ impl Clock {
     pub fn tick(&mut self) {
         self.now += 1;
     }
+
+    /// Advances time by `k` cycles at once (an idle skip).
+    #[inline]
+    pub fn advance(&mut self, k: u64) {
+        self.now += k;
+    }
 }
 
 impl ToJson for Clock {

@@ -35,14 +35,32 @@ impl SimCtx {
 
 /// One simulated subsystem advancing on the shared clock.
 ///
-/// The kernel calls [`Component::step`] exactly once per cycle with the
-/// current time; a composed system (e.g. the full-system engine wrapping
-/// cores, caches, a network, and the MZIM control unit) implements this on
-/// its top-level struct and fans the call out internally, preserving its
-/// intra-cycle ordering.
+/// The kernel calls [`Component::step`] once per cycle with the current
+/// time, except across cycles the component declares idle through
+/// [`Component::next_activity`]: those it replays in one
+/// [`Component::advance_idle`] call. A composed system (e.g. the
+/// full-system engine wrapping cores, caches, a network, and the MZIM
+/// control unit) implements this on its top-level struct and fans the
+/// calls out internally, preserving its intra-cycle ordering.
 pub trait Component {
     /// Advances the component through cycle `now`.
     fn step(&mut self, now: Cycles, ctx: &mut SimCtx);
+
+    /// The earliest cycle `>= now` whose `step` may do more than
+    /// [`Component::advance_idle`] replays. The default, `now`, says the
+    /// component may act on every cycle, so it is never skipped.
+    fn next_activity(&self, now: Cycles) -> Cycles {
+        now
+    }
+
+    /// Replays the `k` cycles from `now` on, all before
+    /// [`Component::next_activity`]; the state afterwards must equal that
+    /// of `k` calls to `step`. The default makes exactly those calls.
+    fn advance_idle(&mut self, now: Cycles, k: u64, ctx: &mut SimCtx) {
+        for i in 0..k {
+            self.step(now + Cycles::new(i), ctx);
+        }
+    }
 
     /// Whether the component has quiesced (no queued or in-flight work).
     /// Open-ended components (e.g. synthetic traffic drivers) never

@@ -18,8 +18,11 @@ pub struct RunOutcome {
 
 /// Steps `c` until it reports [`Component::done`] or `max_cycles` elapses.
 ///
-/// Exactly the legacy `while !finished && cycle < max` loop, with the
-/// distinction the old loops dropped: the caller learns *why* it stopped.
+/// The legacy `while !finished && cycle < max` loop, with two changes.
+/// The caller learns *why* it stopped. And cycles before
+/// [`Component::next_activity`] are replayed in one
+/// [`Component::advance_idle`] call instead of one `step` each, which
+/// gives the same state as stepping them.
 pub fn run_until<C: Component>(
     c: &mut C,
     ctx: &mut SimCtx,
@@ -27,13 +30,21 @@ pub fn run_until<C: Component>(
     max_cycles: Cycles,
 ) -> RunOutcome {
     while !c.done(clock.now()) {
-        if clock.now() >= max_cycles {
+        let now = clock.now();
+        if now >= max_cycles {
             return RunOutcome {
-                cycles: clock.now(),
+                cycles: now,
                 truncated: true,
             };
         }
-        c.step(clock.now(), ctx);
+        let next = c.next_activity(now).min(max_cycles);
+        if next > now {
+            let k = (next - now).value();
+            c.advance_idle(now, k, ctx);
+            clock.advance(k);
+            continue;
+        }
+        c.step(now, ctx);
         clock.tick();
     }
     RunOutcome {
@@ -94,6 +105,63 @@ mod tests {
         fn done(&self, _now: Cycles) -> bool {
             self.remaining == 0
         }
+    }
+
+    /// Acts on multiples of `period` until `remaining` acts are done;
+    /// counts every cycle it passes, stepped or skipped.
+    struct Periodic {
+        period: u64,
+        remaining: u64,
+        steps: u64,
+        cycles: u64,
+    }
+
+    impl Component for Periodic {
+        fn step(&mut self, now: Cycles, _ctx: &mut SimCtx) {
+            if now.value().is_multiple_of(self.period) && self.remaining > 0 {
+                self.remaining -= 1;
+            }
+            self.steps += 1;
+            self.cycles += 1;
+        }
+
+        fn done(&self, _now: Cycles) -> bool {
+            self.remaining == 0
+        }
+
+        fn next_activity(&self, now: Cycles) -> Cycles {
+            Cycles::new(now.value().div_ceil(self.period) * self.period)
+        }
+
+        fn advance_idle(&mut self, _now: Cycles, k: u64, _ctx: &mut SimCtx) {
+            self.cycles += k;
+        }
+    }
+
+    #[test]
+    fn run_until_skips_idle_cycles() {
+        let periodic = || Periodic {
+            period: 10,
+            remaining: 5,
+            steps: 0,
+            cycles: 0,
+        };
+        let mut c = periodic();
+        let mut clock = Clock::at(Cycles::new(3));
+        let out = run_until(&mut c, &mut SimCtx::new(0), &mut clock, Cycles::new(1000));
+        // Acts at 10, 20, 30, 40 and 50; quiesces after the last.
+        assert_eq!(out.cycles, Cycles::new(51));
+        assert!(!out.truncated);
+        assert_eq!(c.steps, 5);
+        assert_eq!(c.cycles, 48);
+
+        // The cap is a stop too: a skip never jumps past it.
+        let mut c = periodic();
+        let mut clock = Clock::new();
+        let out = run_until(&mut c, &mut SimCtx::new(0), &mut clock, Cycles::new(25));
+        assert!(out.truncated);
+        assert_eq!(out.cycles, Cycles::new(25));
+        assert_eq!((c.steps, c.cycles, c.remaining), (3, 25, 2));
     }
 
     #[test]

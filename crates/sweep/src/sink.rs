@@ -1,52 +1,15 @@
-//! Result sinks: JSONL dumps, CSV tables and the run manifest.
+//! Result sinks: trace files and the run manifest.
 //!
 //! The manifest (`manifest.jsonl` next to the cache) appends one line per
 //! sweep invocation — job count, hit/miss split, wall time — so a data
 //! directory records how its contents were produced and a re-run can be
 //! audited for cache effectiveness.
 
-use crate::exec::{SweepPlan, SweepReport};
-use crate::job::JobSpec;
+use crate::exec::SweepReport;
 use crate::json::{Json, ToJson};
-use crate::metrics::unit_metrics;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
-
-/// Writes one JSON object per line: `{label, hash, cached, wall_ms,
-/// result}` for every job in the report, in plan order. Full-system runs
-/// additionally carry a `metrics` object with unit-suffixed headline
-/// keys (`latency_ns`, `energy_pj`, `loss_db` — see
-/// [`crate::metrics::unit_metrics`]) and a top-level `truncated` flag so
-/// a run that hit its cycle budget is visible without digging into the
-/// result payload.
-///
-/// # Panics
-///
-/// Panics on I/O failure.
-pub fn write_results_jsonl(path: &Path, plan: &SweepPlan, report: &SweepReport) {
-    let mut out = String::new();
-    for ((spec, rec), result) in plan.jobs().iter().zip(&report.records).zip(&report.results) {
-        let mut fields = vec![
-            ("label", Json::Str(rec.label.clone())),
-            ("hash", Json::Str(rec.hash.clone())),
-            ("cached", rec.cached.to_json()),
-            ("wall_ms", rec.wall_ms.to_json()),
-            ("result", result.to_json()),
-        ];
-        if let JobSpec::FullRun { cfg, .. } = spec {
-            fields.push(("metrics", unit_metrics(result.full_run(), cfg)));
-            fields.push(("truncated", result.full_run().truncated.to_json()));
-        }
-        let line = Json::obj(fields);
-        out.push_str(&line.to_canonical());
-        out.push('\n');
-    }
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).expect("create sink dir");
-    }
-    fs::write(path, out).expect("write results jsonl");
-}
 
 /// Writes a recorded event stream twice: Chrome-trace JSON (open in
 /// Perfetto / `chrome://tracing`) at `<stem>.trace.json` and one event
@@ -70,23 +33,6 @@ pub fn write_trace_files(
     let mut f = fs::File::create(&jsonl).expect("create trace jsonl");
     flumen_trace::jsonl::write_jsonl(&mut f, events).expect("write trace jsonl");
     (chrome, jsonl)
-}
-
-/// Writes a CSV file (headers + rows).
-///
-/// # Panics
-///
-/// Panics on I/O failure.
-pub fn write_csv_file(path: &Path, headers: &[&str], rows: &[Vec<String>]) {
-    let mut s = headers.join(",") + "\n";
-    for r in rows {
-        s.push_str(&r.join(","));
-        s.push('\n');
-    }
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).expect("create sink dir");
-    }
-    fs::write(path, s).expect("write csv");
 }
 
 /// Appends one summary line for this sweep to `<dir>/manifest.jsonl`.
@@ -130,7 +76,7 @@ mod tests {
     use flumen_noc::traffic::TrafficPattern;
 
     #[test]
-    fn sinks_write_plan_ordered_lines() {
+    fn manifest_appends_one_line_per_sweep() {
         let base = std::env::temp_dir().join(format!("flumen-sweep-sink-{}", std::process::id()));
         let _ = fs::remove_dir_all(&base);
 
@@ -150,29 +96,16 @@ mod tests {
         }
         let report = run_plan(&plan, &SweepOptions::serial_in(base.join("cache")));
 
-        let jsonl = base.join("out.jsonl");
-        write_results_jsonl(&jsonl, &plan, &report);
-        let text = fs::read_to_string(&jsonl).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for (line, rec) in text.lines().zip(&report.records) {
-            let j = Json::parse(line).unwrap();
-            assert_eq!(j.get("hash").unwrap().as_str().unwrap(), rec.hash);
-        }
-
+        append_manifest(&base, "test-sweep", &report);
         append_manifest(&base, "test-sweep", &report);
         let manifest = fs::read_to_string(base.join("manifest.jsonl")).unwrap();
+        assert_eq!(manifest.lines().count(), 2);
         let j = Json::parse(manifest.lines().next().unwrap()).unwrap();
         assert_eq!(j.get("jobs").unwrap().as_usize().unwrap(), 2);
-
-        write_csv_file(
-            &base.join("t.csv"),
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()]],
-        );
-        assert_eq!(
-            fs::read_to_string(base.join("t.csv")).unwrap(),
-            "a,b\n1,2\n"
-        );
+        let hashes = j.get("job_hashes").unwrap().as_arr().unwrap();
+        for (h, rec) in hashes.iter().zip(&report.records) {
+            assert_eq!(h.as_str().unwrap(), rec.hash);
+        }
 
         fs::remove_dir_all(&base).unwrap();
     }

@@ -255,3 +255,35 @@ fn unwritable_cache_dir_only_counts_write_failures() {
     std::fs::remove_dir_all(&good).unwrap();
     std::fs::remove_file(&blocked).unwrap();
 }
+
+#[test]
+fn failed_renames_only_count_write_failures() {
+    let plan = sample_plan();
+    let good = tmp_dir("rename-reference");
+    let reference = run_plan(&plan, &opts(2, &good));
+
+    // A non-empty directory at every job's entry name: each result's temp
+    // file is written, but the rename that publishes it fails, whatever
+    // the process's privileges.
+    let blocked = tmp_dir("rename-blocked");
+    let cache = ResultCache::open(&blocked);
+    for job in plan.jobs() {
+        std::fs::create_dir_all(cache.entry_path(&job.content_hash()).join("occupant")).unwrap();
+    }
+    let report = run_plan(&plan, &opts(2, &blocked));
+    assert_eq!(report.executed(), plan.len());
+    assert_eq!(report.cache.write_failures, plan.len() as u64);
+    assert_eq!(report.cache.writes, 0);
+    for (a, b) in reference.results.iter().zip(&report.results) {
+        assert_eq!(a.to_json().to_canonical(), b.to_json().to_canonical());
+    }
+    let temps = std::fs::read_dir(&blocked)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+        .count();
+    assert_eq!(temps, 0, "failed publishes leave no temp files");
+
+    std::fs::remove_dir_all(&good).unwrap();
+    std::fs::remove_dir_all(&blocked).unwrap();
+}

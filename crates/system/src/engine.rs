@@ -55,6 +55,18 @@ pub trait ExternalServer<N: Network> {
     fn step(&mut self, now: u64, net: &mut N) -> Vec<ExternalOutcome>;
     /// Outstanding request count (used for termination detection).
     fn outstanding(&self) -> usize;
+    /// The earliest cycle `>= now` whose `step` may do more than
+    /// [`ExternalServer::advance_idle`] replays, or `None` if none will
+    /// before the next request. The default says every cycle acts while
+    /// anything is outstanding.
+    fn next_activity(&self, now: u64) -> Option<u64> {
+        (self.outstanding() > 0).then_some(now)
+    }
+    /// Replays `k` cycles that all fall before
+    /// [`ExternalServer::next_activity`]. The default does nothing, which
+    /// is exact under the default `next_activity`: it only allows a skip
+    /// while nothing is outstanding, and then a step does nothing.
+    fn advance_idle(&mut self, _k: u64) {}
     /// Folds the server's activity (MZIM energy events) into the run counts.
     fn drain_counts(&mut self, counts: &mut ActivityCounts);
 }
@@ -274,7 +286,9 @@ impl<N: Network, S: ExternalServer<N>> SystemSim<N, S> {
     /// Runs until [`SystemSim::finished`] or `max_cycles`, returning the
     /// result. Call once per constructed system (possibly after a
     /// checkpoint [`Snapshotable::restore`], in which case the kernel clock
-    /// resumes from the restored cycle).
+    /// resumes from the restored cycle). Idle stretches are skipped
+    /// through [`Component::next_activity`]; the result is that of
+    /// calling [`SystemSim::step`] in a loop.
     pub fn run(mut self, max_cycles: u64) -> RunResult {
         let mut ctx = SimCtx::new(0);
         let mut clock = Clock::at(Cycles::new(self.cycle));
@@ -651,6 +665,53 @@ impl<N: Network, S: ExternalServer<N>> Component for SystemSim<N, S> {
             "kernel clock and engine cycle must agree"
         );
         self.step();
+    }
+
+    /// The earliest of: a core that can issue now, a busy core's
+    /// `busy_until` (which also moves [`SystemSim::finished`]), the next
+    /// due server reply, the server's and the network's next activity,
+    /// and the next utilization sample.
+    fn next_activity(&self, now: Cycles) -> Cycles {
+        let now = now.value();
+        debug_assert_eq!(now, self.cycle, "kernel clock and engine cycle must agree");
+        // The network counts its own cycles; it may have been stepped
+        // before it was attached.
+        let net = self
+            .net
+            .next_activity()
+            .map(|t| now + t.saturating_sub(self.net.cycle()));
+        let jobs = self.server_jobs.peek_deadline().map(Cycles::value);
+        let mut next = u64::MAX;
+        for t in [net, self.server.next_activity(now), jobs]
+            .into_iter()
+            .flatten()
+        {
+            if t <= now {
+                return Cycles::new(now);
+            }
+            next = next.min(t);
+        }
+        for c in &self.cores {
+            if c.busy_until > now {
+                next = next.min(c.busy_until);
+            } else if c.waiting == 0
+                && c.barrier.is_none()
+                && (c.stream.is_some() || !c.queue.is_empty())
+            {
+                return Cycles::new(now);
+            }
+        }
+        if self.trace_interval > 0 {
+            // Samples are taken on positive multiples of the interval.
+            next = next.min(now.max(1).div_ceil(self.trace_interval) * self.trace_interval);
+        }
+        Cycles::new(next)
+    }
+
+    fn advance_idle(&mut self, _now: Cycles, k: u64, _ctx: &mut SimCtx) {
+        self.server.advance_idle(k);
+        self.net.advance_idle(k);
+        self.cycle += k;
     }
 
     fn done(&self, _now: Cycles) -> bool {
