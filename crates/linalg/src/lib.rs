@@ -60,4 +60,4 @@ pub use error::{LinalgError, Result};
 pub use hash::sha256_hex;
 pub use qr::{qr, random_orthogonal, random_unitary, Qr};
 pub use rmat::RMat;
-pub use svd::{spectral_norm, spectral_scale, svd, Svd};
+pub use svd::{spectral_norm, spectral_scale, svd, Svd, SvdWork};

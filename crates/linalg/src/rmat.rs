@@ -76,6 +76,30 @@ impl RMat {
         Ok(RMat { rows, cols, data })
     }
 
+    /// Reshapes to `rows×cols` and zeroes every element, reusing the
+    /// storage: it allocates only when the new shape is larger than any
+    /// before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero.
+    pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Overwrites `self` with a copy of `other`, reusing the storage like
+    /// [`RMat::reshape_zeroed`].
+    pub fn copy_from(&mut self, other: &RMat) {
+        self.rows = other.rows;
+        self.cols = other.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

@@ -51,6 +51,9 @@ impl Svd {
 /// with plane rotations accumulated into `V`; on convergence the column norms
 /// are the singular values and the normalized columns are `U`.
 ///
+/// This is [`SvdWork::factor`] on fresh buffers; a caller factorizing many
+/// matrices keeps one [`SvdWork`] instead.
+///
 /// # Errors
 ///
 /// Returns [`LinalgError::NoConvergence`] if the sweep budget is exhausted —
@@ -66,135 +69,292 @@ impl Svd {
 /// # Ok::<(), flumen_linalg::LinalgError>(())
 /// ```
 pub fn svd(a: &RMat) -> Result<Svd> {
-    if a.rows() < a.cols() {
-        // Work on the transpose and swap the factors.
-        let f = svd(&a.transpose())?;
-        return Ok(Svd {
-            u: f.v,
-            sigma: f.sigma,
-            v: f.u,
-        });
+    let mut work = SvdWork::new();
+    work.factor(a)?;
+    Ok(Svd {
+        u: work.u,
+        sigma: work.sigma,
+        v: work.v,
+    })
+}
+
+/// Reusable buffers of the one-sided Jacobi SVD: the working copy, the `V`
+/// accumulator, `U`, and the sort scratch. Once they have grown to a shape,
+/// factorizing another matrix of that shape allocates nothing, which is what
+/// a loop programming one circuit per weight block needs.
+///
+/// # Examples
+///
+/// ```
+/// use flumen_linalg::{svd, RMat, SvdWork};
+/// let a = RMat::from_rows(2, 2, vec![3.0, 0.0, 4.0, 5.0])?;
+/// let mut work = SvdWork::new();
+/// work.factor(&a)?;
+/// assert_eq!(work.sigma(), svd(&a)?.sigma.as_slice());
+/// # Ok::<(), flumen_linalg::LinalgError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct SvdWork {
+    /// Working copy (`a`, or `aᵀ` for wide input) whose columns the
+    /// sweeps orthogonalize.
+    work: RMat,
+    /// Accumulated rotations, in sweep column order.
+    rot: RMat,
+    /// Left singular vectors of the last [`SvdWork::factor`].
+    u: RMat,
+    /// Right singular vectors of the last factor, in σ order.
+    v: RMat,
+    /// Column norms of `work`, in sweep column order.
+    norms: Vec<f64>,
+    /// Singular values of the last factor, descending.
+    sigma: Vec<f64>,
+    /// Sweep column of each descending σ.
+    order: Vec<usize>,
+    /// One column under Gram-Schmidt.
+    col: Vec<f64>,
+}
+
+impl Default for SvdWork {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SvdWork {
+    /// Empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        SvdWork {
+            work: RMat::zeros(1, 1),
+            rot: RMat::zeros(1, 1),
+            u: RMat::zeros(1, 1),
+            v: RMat::zeros(1, 1),
+            norms: Vec::new(),
+            sigma: Vec::new(),
+            order: Vec::new(),
+            col: Vec::new(),
+        }
     }
 
-    let m = a.rows();
-    let n = a.cols();
-    let mut work = a.clone(); // m×n, columns get orthogonalized
-    let mut v = RMat::identity(n);
-    let eps = 1e-12;
-    let scale_floor = 1e-28 * a.frobenius_norm().max(1e-300).powi(2);
+    /// Factorizes `a = U · diag(σ) · Vᵀ` into these buffers, bit-identical
+    /// to [`svd`]; read the factors with [`SvdWork::u`], [`SvdWork::sigma`]
+    /// and [`SvdWork::v`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NoConvergence`] if the sweep budget is
+    /// exhausted.
+    pub fn factor(&mut self, a: &RMat) -> Result<()> {
+        // Wide input: work on the transpose and swap the factors.
+        let wide = a.rows() < a.cols();
+        self.load(a, wide);
+        self.sweep(true)?;
+        self.finish();
+        if wide {
+            std::mem::swap(&mut self.u, &mut self.v);
+        }
+        Ok(())
+    }
 
-    let mut converged = false;
-    for _sweep in 0..MAX_SWEEPS {
-        let mut rotated = false;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                // Gram entries for columns p, q.
-                let mut app = 0.0;
-                let mut aqq = 0.0;
-                let mut apq = 0.0;
-                for r in 0..m {
-                    let x = work[(r, p)];
-                    let y = work[(r, q)];
-                    app += x * x;
-                    aqq += y * y;
-                    apq += x * y;
-                }
-                if apq.abs() <= eps * (app * aqq).sqrt() + scale_floor {
-                    continue;
-                }
-                rotated = true;
-                // Jacobi rotation that annihilates the off-diagonal entry.
-                let zeta = (aqq - app) / (2.0 * apq);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let cs = 1.0 / (1.0 + t * t).sqrt();
-                let sn = cs * t;
-                for r in 0..m {
-                    let x = work[(r, p)];
-                    let y = work[(r, q)];
-                    work[(r, p)] = cs * x - sn * y;
-                    work[(r, q)] = sn * x + cs * y;
-                }
-                for r in 0..n {
-                    let x = v[(r, p)];
-                    let y = v[(r, q)];
-                    v[(r, p)] = cs * x - sn * y;
-                    v[(r, q)] = sn * x + cs * y;
+    /// The spectral norm `‖a‖₂`, bit-identical to `svd(a)?.sigma[0]`. It
+    /// runs the same Jacobi sweeps on the working copy alone: no `V`
+    /// accumulation, no `U`, no sort.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NoConvergence`] exactly when [`svd`] does.
+    pub fn spectral_norm(&mut self, a: &RMat) -> Result<f64> {
+        self.load(a, a.rows() < a.cols());
+        self.sweep(false)?;
+        self.column_norms();
+        // The first maximum is what the stable descending sort puts first.
+        Ok(self
+            .norms
+            .iter()
+            .fold(self.norms[0], |best, &s| if s > best { s } else { best }))
+    }
+
+    /// Left singular vectors (`m×m`) of the last [`SvdWork::factor`].
+    pub fn u(&self) -> &RMat {
+        &self.u
+    }
+
+    /// Singular values of the last [`SvdWork::factor`], descending.
+    pub fn sigma(&self) -> &[f64] {
+        &self.sigma
+    }
+
+    /// Right singular vectors (`n×n`, `V` not `Vᵀ`) of the last
+    /// [`SvdWork::factor`].
+    pub fn v(&self) -> &RMat {
+        &self.v
+    }
+
+    /// Copies `a` (or `aᵀ`) into the working copy.
+    fn load(&mut self, a: &RMat, transpose: bool) {
+        if transpose {
+            self.work.reshape_zeroed(a.cols(), a.rows());
+            for r in 0..a.cols() {
+                for c in 0..a.rows() {
+                    self.work[(r, c)] = a[(c, r)];
                 }
             }
+        } else {
+            self.work.copy_from(a);
         }
-        if !rotated {
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        return Err(LinalgError::NoConvergence { sweeps: MAX_SWEEPS });
     }
 
-    // Column norms are the singular values.
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut sigma: Vec<f64> = (0..n)
-        .map(|c| {
+    /// Jacobi sweeps until no pair rotates; `V` accumulates the rotations
+    /// only if `accumulate_v`.
+    fn sweep(&mut self, accumulate_v: bool) -> Result<()> {
+        let work = &mut self.work;
+        let rot = &mut self.rot;
+        let m = work.rows();
+        let n = work.cols();
+        if accumulate_v {
+            rot.reshape_zeroed(n, n);
+            for i in 0..n {
+                rot[(i, i)] = 1.0;
+            }
+        }
+        let eps = 1e-12;
+        let scale_floor = 1e-28 * work.frobenius_norm().max(1e-300).powi(2);
+
+        for _sweep in 0..MAX_SWEEPS {
+            let mut rotated = false;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    // Gram entries for columns p, q.
+                    let mut app = 0.0;
+                    let mut aqq = 0.0;
+                    let mut apq = 0.0;
+                    for r in 0..m {
+                        let x = work[(r, p)];
+                        let y = work[(r, q)];
+                        app += x * x;
+                        aqq += y * y;
+                        apq += x * y;
+                    }
+                    if apq.abs() <= eps * (app * aqq).sqrt() + scale_floor {
+                        continue;
+                    }
+                    rotated = true;
+                    // Jacobi rotation that annihilates the off-diagonal entry.
+                    let zeta = (aqq - app) / (2.0 * apq);
+                    let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                    let cs = 1.0 / (1.0 + t * t).sqrt();
+                    let sn = cs * t;
+                    for r in 0..m {
+                        let x = work[(r, p)];
+                        let y = work[(r, q)];
+                        work[(r, p)] = cs * x - sn * y;
+                        work[(r, q)] = sn * x + cs * y;
+                    }
+                    if accumulate_v {
+                        for r in 0..n {
+                            let x = rot[(r, p)];
+                            let y = rot[(r, q)];
+                            rot[(r, p)] = cs * x - sn * y;
+                            rot[(r, q)] = sn * x + cs * y;
+                        }
+                    }
+                }
+            }
+            if !rotated {
+                return Ok(());
+            }
+        }
+        Err(LinalgError::NoConvergence { sweeps: MAX_SWEEPS })
+    }
+
+    /// Column norms of the working copy: the unsorted singular values.
+    fn column_norms(&mut self) {
+        let work = &self.work;
+        let m = work.rows();
+        self.norms.clear();
+        self.norms.extend((0..work.cols()).map(|c| {
             (0..m)
                 .map(|r| work[(r, c)] * work[(r, c)])
                 .sum::<f64>()
                 .sqrt()
-        })
-        .collect();
-    order.sort_by(|&i, &j| sigma[j].partial_cmp(&sigma[i]).unwrap());
-
-    let mut u = RMat::zeros(m, m);
-    let mut v_sorted = RMat::zeros(n, n);
-    let mut sigma_sorted = vec![0.0; n];
-    let sigma_max = order.first().map(|&c| sigma[c]).unwrap_or(0.0);
-    // Build U columns by modified Gram-Schmidt over the (σ-descending)
-    // work columns: normalizing `work/σ` directly would amplify round-off
-    // into wildly non-orthogonal columns whenever σ is tiny.
-    let mut rank = 0usize;
-    for (new_c, &old_c) in order.iter().enumerate() {
-        sigma_sorted[new_c] = sigma[old_c];
-        for r in 0..n {
-            v_sorted[(r, new_c)] = v[(r, old_c)];
-        }
-        let mut col: Vec<f64> = (0..m).map(|r| work[(r, old_c)]).collect();
-        for p in 0..rank {
-            let dot: f64 = (0..m).map(|r| col[r] * u[(r, p)]).sum();
-            for r in 0..m {
-                col[r] -= dot * u[(r, p)];
-            }
-        }
-        let norm: f64 = col.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm > 1e-12 * sigma_max.max(1e-300) && norm > 1e-300 {
-            debug_assert_eq!(rank, new_c, "nonzero σ columns must be a prefix");
-            for r in 0..m {
-                u[(r, rank)] = col[r] / norm;
-            }
-            rank += 1;
-        }
+        }));
     }
-    sigma = sigma_sorted;
-    // Numerically-zero directions (and the tall-matrix null space) get an
-    // orthonormal completion; they contribute ≤ 1e-12·σ_max to the product.
-    complete_orthonormal_basis(&mut u, rank);
 
-    Ok(Svd {
-        u,
-        sigma,
-        v: v_sorted,
-    })
+    /// Sorts σ descending and builds `U` and the σ-ordered `V` from the
+    /// converged working copy.
+    fn finish(&mut self) {
+        self.column_norms();
+        let SvdWork {
+            work,
+            rot,
+            u,
+            v,
+            norms,
+            sigma,
+            order,
+            col,
+        } = self;
+        let m = work.rows();
+        let n = work.cols();
+        order.clear();
+        order.extend(0..n);
+        // Stable insertion sort, descending: ties keep column order, the
+        // same permutation a stable library sort gives, with no buffer.
+        // (Every norm compared is a number: a NaN column never converges.)
+        for k in 1..n {
+            let mut p = k;
+            while p > 0 && norms[order[p - 1]] < norms[order[p]] {
+                order.swap(p - 1, p);
+                p -= 1;
+            }
+        }
+
+        u.reshape_zeroed(m, m);
+        v.reshape_zeroed(n, n);
+        sigma.clear();
+        sigma.resize(n, 0.0);
+        let sigma_max = order.first().map(|&c| norms[c]).unwrap_or(0.0);
+        // Build U columns by modified Gram-Schmidt over the (σ-descending)
+        // work columns: normalizing `work/σ` directly would amplify round-off
+        // into wildly non-orthogonal columns whenever σ is tiny.
+        let mut rank = 0usize;
+        for (new_c, &old_c) in order.iter().enumerate() {
+            sigma[new_c] = norms[old_c];
+            for r in 0..n {
+                v[(r, new_c)] = rot[(r, old_c)];
+            }
+            col.clear();
+            col.extend((0..m).map(|r| work[(r, old_c)]));
+            for p in 0..rank {
+                let dot: f64 = (0..m).map(|r| col[r] * u[(r, p)]).sum();
+                for r in 0..m {
+                    col[r] -= dot * u[(r, p)];
+                }
+            }
+            let norm: f64 = col.iter().map(|x| x * x).sum::<f64>().sqrt();
+            if norm > 1e-12 * sigma_max.max(1e-300) && norm > 1e-300 {
+                debug_assert_eq!(rank, new_c, "nonzero σ columns must be a prefix");
+                for r in 0..m {
+                    u[(r, rank)] = col[r] / norm;
+                }
+                rank += 1;
+            }
+        }
+        // Numerically-zero directions (and the tall-matrix null space) get an
+        // orthonormal completion; they contribute ≤ 1e-12·σ_max to the product.
+        complete_orthonormal_basis(u, rank, col);
+    }
 }
 
 /// Fills columns `rank..m` of `u` with an orthonormal completion via
-/// modified Gram-Schmidt against the standard basis.
-fn complete_orthonormal_basis(u: &mut RMat, rank: usize) {
+/// modified Gram-Schmidt against the standard basis; `vec` is scratch.
+fn complete_orthonormal_basis(u: &mut RMat, rank: usize, vec: &mut Vec<f64>) {
     let m = u.rows();
     let mut next = rank;
     let mut candidate = 0usize;
     while next < m && candidate < 2 * m {
         // Start from a standard basis vector (cycled), orthogonalize.
-        let mut vec: Vec<f64> = (0..m)
-            .map(|r| if r == candidate % m { 1.0 } else { 0.0 })
-            .collect();
+        vec.clear();
+        vec.extend((0..m).map(|r| if r == candidate % m { 1.0 } else { 0.0 }));
         for c in 0..next {
             let dot: f64 = (0..m).map(|r| vec[r] * u[(r, c)]).sum();
             for r in 0..m {
@@ -213,13 +373,15 @@ fn complete_orthonormal_basis(u: &mut RMat, rank: usize) {
     debug_assert_eq!(next, m, "failed to complete orthonormal basis");
 }
 
-/// The spectral norm `‖A‖₂` (largest singular value).
+/// The spectral norm `‖A‖₂` (largest singular value), bit-identical to
+/// `svd(a)?.sigma[0]` at a fraction of its cost (see
+/// [`SvdWork::spectral_norm`]).
 ///
 /// # Errors
 ///
-/// Propagates [`LinalgError::NoConvergence`] from the underlying SVD.
+/// Returns [`LinalgError::NoConvergence`] exactly when [`svd`] does.
 pub fn spectral_norm(a: &RMat) -> Result<f64> {
-    Ok(svd(a)?.spectral_norm())
+    SvdWork::new().spectral_norm(a)
 }
 
 /// Scales `M` so its largest singular value is exactly 1 (paper §3.3.1):

@@ -49,6 +49,24 @@ proptest! {
         prop_assert!(scaled.scale(norm).approx_eq(&m, 1e-8 * (1.0 + m.max_abs())));
     }
 
+    /// The sweep-only spectral norm gives the same bits as the full SVD's
+    /// σ_max on random, rank-deficient, all-zero, tall and wide matrices.
+    #[test]
+    fn spectral_norm_is_svd_sigma_max_bit_for_bit(
+        (rows, cols) in (small_dim(), small_dim()),
+        rank in 0usize..9,
+        seed in any::<u32>(),
+    ) {
+        let m = low_rank_from_seed(rows, cols, rank, seed);
+        let top = svd(&m).unwrap().sigma[0];
+        prop_assert_eq!(spectral_norm(&m).unwrap().to_bits(), top.to_bits());
+        let zero = RMat::zeros(rows, cols);
+        prop_assert_eq!(
+            spectral_norm(&zero).unwrap().to_bits(),
+            svd(&zero).unwrap().sigma[0].to_bits()
+        );
+    }
+
     #[test]
     fn spectral_norm_submultiplicative(n in 2usize..6, s1 in any::<u32>(), s2 in any::<u32>()) {
         let a = rmat_from_seed(n, n, s1);
@@ -133,4 +151,21 @@ fn rmat_from_seed(rows: usize, cols: usize, seed: u32) -> RMat {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed as u64);
     RMat::from_fn(rows, cols, |_, _| rng.gen_range(-3.0..3.0))
+}
+
+/// A `rows×cols` matrix of rank at most `rank` (a sum of `rank` outer
+/// products); `rank ≥ min(rows, cols)` is a generic full-rank matrix, and
+/// rank 0 is all zero.
+fn low_rank_from_seed(rows: usize, cols: usize, rank: usize, seed: u32) -> RMat {
+    if rank >= rows.min(cols) {
+        return rmat_from_seed(rows, cols, seed);
+    }
+    let left = rmat_from_seed(rows, rank.max(1), seed);
+    let right = rmat_from_seed(rank.max(1), cols, seed.wrapping_add(1));
+    let product = left.matmul(&right);
+    if rank == 0 {
+        product.scale(0.0)
+    } else {
+        product
+    }
 }

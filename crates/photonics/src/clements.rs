@@ -11,7 +11,7 @@
 //! matrix memory; this module is that precomputation.
 
 use crate::mesh::MzimMesh;
-use crate::mzi::MziPhase;
+use crate::mzi::{MziPhase, Transfer};
 use crate::{PhotonicsError, Result};
 use flumen_linalg::{CMat, C64};
 
@@ -57,6 +57,52 @@ pub struct MeshProgram {
 /// # }
 /// ```
 pub fn decompose(u: &CMat) -> Result<MeshProgram> {
+    let mut prog = MeshProgram::empty();
+    decompose_into(u, &mut ClementsWork::new(), &mut prog)?;
+    Ok(prog)
+}
+
+/// Reusable buffers of [`decompose_into`]: the nulled copy `W` and the op
+/// lists. Once they have grown to a size, decomposing another unitary of
+/// that size allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct ClementsWork {
+    w: CMat,
+    /// Column ops applied to `W` during nulling, in application order.
+    right_ops: Vec<(usize, MziPhase)>,
+    /// Row ops applied to `W` during nulling, in application order, as
+    /// `(mode, transfer)`.
+    left_ops: Vec<(usize, Transfer)>,
+    diag: Vec<C64>,
+    /// `transfers[k]` is the transfer of op `k` of the last program, so
+    /// writing the program into a mesh needs no trigonometry for it.
+    pub(crate) transfers: Vec<Transfer>,
+}
+
+impl ClementsWork {
+    /// Empty buffers; they grow on first use.
+    pub(crate) fn new() -> Self {
+        ClementsWork {
+            w: CMat::zeros(1, 1),
+            right_ops: Vec::new(),
+            left_ops: Vec::new(),
+            diag: Vec::new(),
+            transfers: Vec::new(),
+        }
+    }
+}
+
+/// [`decompose`] into a caller-owned program, over reusable buffers; `out`
+/// is overwritten and is bit-identical to `decompose(u)`.
+///
+/// # Errors
+///
+/// See [`decompose`]; on error `out` is unchanged.
+pub(crate) fn decompose_into(
+    u: &CMat,
+    work: &mut ClementsWork,
+    out: &mut MeshProgram,
+) -> Result<()> {
     let n = u.rows();
     if !u.is_square() || n < 2 {
         return Err(PhotonicsError::InvalidSize {
@@ -69,10 +115,17 @@ pub fn decompose(u: &CMat) -> Result<MeshProgram> {
         return Err(PhotonicsError::NotUnitary { deviation: dev });
     }
 
-    let mut w = u.clone();
-    // Ops applied to W during nulling, in application order.
-    let mut right_ops: Vec<(usize, MziPhase)> = Vec::new();
-    let mut left_ops: Vec<(usize, MziPhase)> = Vec::new();
+    let ClementsWork {
+        w,
+        right_ops,
+        left_ops,
+        diag,
+        transfers,
+    } = work;
+    w.copy_from(u);
+    right_ops.clear();
+    left_ops.clear();
+    transfers.clear();
 
     for i in 0..n - 1 {
         if i % 2 == 0 {
@@ -81,24 +134,27 @@ pub fn decompose(u: &CMat) -> Result<MeshProgram> {
             for j in 0..=i {
                 let r = n - 1 - j;
                 let c = i - j;
-                right_ops.push(null_right(&mut w, r, c));
+                let (mode, phase, t) = null_right(w, r, c);
+                right_ops.push((mode, phase));
+                transfers.push(t);
             }
         } else {
             // Null using row operations W ← T(m) · W.
             for jj in 0..=i {
                 let r = n + jj - i - 1;
                 let c = jj;
-                left_ops.push(null_left(&mut w, r, c));
+                left_ops.push(null_left(w, r, c));
             }
         }
     }
 
     // W is now diagonal (unitary and upper triangular).
-    let mut diag: Vec<C64> = (0..n).map(|k| w[(k, k)]).collect();
+    diag.clear();
+    diag.extend((0..n).map(|k| w[(k, k)]));
     debug_assert!(
-        offdiag_max(&w) < 1e-7,
+        offdiag_max(w) < 1e-7,
         "nulling left residue {:.3e}",
-        offdiag_max(&w)
+        offdiag_max(w)
     );
 
     // U = T†_{L1} … T†_{Lq} · D · T_{Rp} … T_{R1}
@@ -106,23 +162,32 @@ pub fn decompose(u: &CMat) -> Result<MeshProgram> {
     // see null_right). Commute each left dagger through the diagonal:
     // T†(θ,φ)·D = D'·T(θ',φ'), processed from the factor adjacent to D
     // outwards, accumulating new T's that are applied *after* the right ops.
-    let mut ops = right_ops;
-    for &(mode, phase) in left_ops.iter().rev() {
-        let (new_phase, d_pair) = commute_dagger_through_diag(phase, diag[mode], diag[mode + 1]);
+    out.n = n;
+    out.ops.clear();
+    out.ops.extend_from_slice(right_ops);
+    for &(mode, t) in left_ops.iter().rev() {
+        let (new_phase, tn, d_pair) = commute_dagger_through_diag(t, diag[mode], diag[mode + 1]);
         diag[mode] = d_pair.0;
         diag[mode + 1] = d_pair.1;
-        ops.push((mode, new_phase));
+        out.ops.push((mode, new_phase));
+        transfers.push(tn);
     }
 
-    let output_phases: Vec<f64> = diag.iter().map(|d| d.arg()).collect();
-    Ok(MeshProgram {
-        n,
-        ops,
-        output_phases,
-    })
+    out.output_phases.clear();
+    out.output_phases.extend(diag.iter().map(|d| d.arg()));
+    Ok(())
 }
 
 impl MeshProgram {
+    /// A program with no ops, to be filled by [`decompose_into`].
+    pub(crate) fn empty() -> Self {
+        MeshProgram {
+            n: 0,
+            ops: Vec::new(),
+            output_phases: Vec::new(),
+        }
+    }
+
     /// Programs `mesh` **once** and streams a batch of input vectors
     /// through it — the batched-MVM primitive. In a photonic accelerator
     /// the expensive step is writing `n(n−1)/2` MZI phases (thermo-optic
@@ -140,7 +205,8 @@ impl MeshProgram {
     /// * [`PhotonicsError::DimensionMismatch`] if any input vector's
     ///   length differs from the program size `n`.
     pub fn apply_batch(&self, mesh: &mut MzimMesh, inputs: &[Vec<C64>]) -> Result<Vec<Vec<C64>>> {
-        apply_program(mesh, self)?;
+        // Validate before programming, so a rejected batch leaves the mesh
+        // as it was.
         for x in inputs {
             if x.len() != self.n {
                 return Err(PhotonicsError::DimensionMismatch {
@@ -149,6 +215,7 @@ impl MeshProgram {
                 });
             }
         }
+        apply_program(mesh, self)?;
         Ok(mesh.propagate_batch(inputs))
     }
 }
@@ -184,6 +251,19 @@ pub fn program_mesh(mesh: &mut MzimMesh, u: &CMat) -> Result<()> {
 /// [`PhotonicsError::NotRoutable`] if the ops cannot be scheduled into the
 /// mesh's columns.
 pub fn apply_program(mesh: &mut MzimMesh, prog: &MeshProgram) -> Result<()> {
+    apply_program_with(mesh, prog, None, &mut Vec::new())
+}
+
+/// [`apply_program`] with a caller-owned schedule buffer, so reprogramming
+/// a mesh allocates nothing once `wire_free` has grown to the mesh size,
+/// and optionally with each op's transfer already at hand
+/// (`transfers[k]` for `prog.ops[k]`, as [`ClementsWork`] keeps them).
+pub(crate) fn apply_program_with(
+    mesh: &mut MzimMesh,
+    prog: &MeshProgram,
+    transfers: Option<&[Transfer]>,
+    wire_free: &mut Vec<usize>,
+) -> Result<()> {
     if mesh.n() != prog.n {
         return Err(PhotonicsError::DimensionMismatch {
             expected: mesh.n(),
@@ -192,8 +272,9 @@ pub fn apply_program(mesh: &mut MzimMesh, prog: &MeshProgram) -> Result<()> {
     }
     mesh.reset();
     // ASAP schedule: wire_free[w] = first column where wire w is available.
-    let mut wire_free = vec![0usize; prog.n];
-    for &(mode, phase) in &prog.ops {
+    wire_free.clear();
+    wire_free.resize(prog.n, 0);
+    for (k, &(mode, phase)) in prog.ops.iter().enumerate() {
         let mut col = wire_free[mode].max(wire_free[mode + 1]);
         if col % 2 != mode % 2 {
             col += 1;
@@ -206,7 +287,10 @@ pub fn apply_program(mesh: &mut MzimMesh, prog: &MeshProgram) -> Result<()> {
                 ),
             });
         }
-        mesh.set_phase(col, mode, phase)?;
+        match transfers {
+            Some(ts) => mesh.set_phase_with_transfer(col, mode, phase, ts[k])?,
+            None => mesh.set_phase(col, mode, phase)?,
+        }
         wire_free[mode] = col + 1;
         wire_free[mode + 1] = col + 1;
     }
@@ -347,7 +431,7 @@ fn offdiag_max(w: &CMat) -> f64 {
 /// Nulls `W[r, c]` by right-multiplying `W ← W · T†(c)` (mixes columns
 /// `c, c+1`). Returns the `(mode, phase)` of the **un-daggered** `T`, which
 /// is what ends up in the physical mesh.
-fn null_right(w: &mut CMat, r: usize, c: usize) -> (usize, MziPhase) {
+fn null_right(w: &mut CMat, r: usize, c: usize) -> (usize, MziPhase, Transfer) {
     let a = w[(r, c)];
     let b = w[(r, c + 1)];
     // (W·T†)[r, c] = conj(g)·(a·e^{-jφ}·sin(θ/2) + b·cos(θ/2)); null it.
@@ -357,18 +441,19 @@ fn null_right(w: &mut CMat, r: usize, c: usize) -> (usize, MziPhase) {
         let rho = -(b / a); // e^{-jφ}·tan(θ/2) = ρ
         MziPhase::new(2.0 * rho.abs().atan(), -rho.arg())
     };
-    apply_dagger_right(w, c, phase);
+    let t = phase.transfer();
+    apply_dagger_right(w, c, &t);
     debug_assert!(
         w[(r, c)].abs() < 1e-9,
         "right null failed: {:.3e}",
         w[(r, c)].abs()
     );
-    (c, phase)
+    (c, phase, t)
 }
 
 /// Nulls `W[r, c]` by left-multiplying `W ← T(r−1) · W` (mixes rows
-/// `r−1, r`). Returns the `(mode, phase)` of the applied `T`.
-fn null_left(w: &mut CMat, r: usize, c: usize) -> (usize, MziPhase) {
+/// `r−1, r`). Returns the mode and transfer of the applied `T`.
+fn null_left(w: &mut CMat, r: usize, c: usize) -> (usize, Transfer) {
     let m = r - 1;
     let a = w[(m, c)];
     let b = w[(r, c)];
@@ -379,21 +464,17 @@ fn null_left(w: &mut CMat, r: usize, c: usize) -> (usize, MziPhase) {
         let rho = a / b; // e^{jφ}·ρ = tan(θ/2)
         MziPhase::new(2.0 * rho.abs().atan(), -rho.arg())
     };
-    apply_left(w, m, phase);
+    let t = phase.transfer();
+    w.apply_2x2_left(m, t);
     debug_assert!(
         w[(r, c)].abs() < 1e-9,
         "left null failed: {:.3e}",
         w[(r, c)].abs()
     );
-    (m, phase)
+    (m, t)
 }
 
-fn apply_left(w: &mut CMat, mode: usize, phase: MziPhase) {
-    w.apply_2x2_left(mode, phase.transfer());
-}
-
-fn apply_dagger_right(w: &mut CMat, mode: usize, phase: MziPhase) {
-    let t = phase.transfer();
+fn apply_dagger_right(w: &mut CMat, mode: usize, t: &Transfer) {
     // T† entries.
     let td = [
         [t[0][0].conj(), t[1][0].conj()],
@@ -402,28 +483,29 @@ fn apply_dagger_right(w: &mut CMat, mode: usize, phase: MziPhase) {
     w.apply_2x2_right(mode, td);
 }
 
-/// Rewrites `T†(θ,φ) · diag(d0, d1)` as `diag(d0', d1') · T(θ', φ')`.
+/// Rewrites `T†(θ,φ) · diag(d0, d1)` as `diag(d0', d1') · T(θ', φ')`,
+/// given `t = T(θ,φ)`. Returns `(θ', φ')`, `T(θ', φ')` and `(d0', d1')`.
 ///
 /// Both sides are 2×2 unitary; matching magnitudes gives `θ'` directly and
 /// the remaining phases follow from element ratios.
-fn commute_dagger_through_diag(phase: MziPhase, d0: C64, d1: C64) -> (MziPhase, (C64, C64)) {
-    let t = phase.transfer();
+fn commute_dagger_through_diag(t: Transfer, d0: C64, d1: C64) -> (MziPhase, Transfer, (C64, C64)) {
     // A = T† · diag(d0, d1)
     let a00 = t[0][0].conj() * d0;
     let a01 = t[1][0].conj() * d1;
     let a10 = t[0][1].conj() * d0;
     let a11 = t[1][1].conj() * d1;
+    let (abs00, abs01) = (a00.abs(), a01.abs());
 
     // atan2 of the two magnitudes is well conditioned at both endpoints and
     // consistent with row unitarity (|a00|² + |a01|² = 1).
-    let half = a00.abs().atan2(a01.abs());
+    let half = abs00.atan2(abs01);
     let theta = 2.0 * half;
     let (sp, cp) = (half.sin(), half.cos());
     let g = C64::I * C64::cis(-half);
 
-    let (alpha, phi) = if a01.abs() > TINY {
+    let (alpha, phi) = if abs01 > TINY {
         let alpha = a01 / (g * cp);
-        let phi = if a00.abs() > TINY {
+        let phi = if abs00 > TINY {
             (a00 / (alpha * g * sp)).arg()
         } else {
             0.0
@@ -440,10 +522,15 @@ fn commute_dagger_through_diag(phase: MziPhase, d0: C64, d1: C64) -> (MziPhase, 
     };
 
     let new_phase = MziPhase::new(theta, phi);
+    // T(θ', φ') reuses sin, cos and g of θ'/2 when θ' was not clamped.
+    let tn = if (new_phase.theta / 2.0).to_bits() == half.to_bits() {
+        MziPhase::transfer_from_parts(g, C64::cis(new_phase.phi), sp, cp)
+    } else {
+        new_phase.transfer()
+    };
     // Verify the refactorization in debug builds.
     #[cfg(debug_assertions)]
     {
-        let tn = new_phase.transfer();
         let checks = [
             (alpha * tn[0][0] * C64::cis(new_phase.phi - phi), a00),
             (alpha * tn[0][1], a01),
@@ -457,7 +544,7 @@ fn commute_dagger_through_diag(phase: MziPhase, d0: C64, d1: C64) -> (MziPhase, 
             );
         }
     }
-    (new_phase, (alpha, beta))
+    (new_phase, tn, (alpha, beta))
 }
 
 #[cfg(test)]

@@ -824,29 +824,15 @@ impl FlumenFabric {
         assert_eq!(input.len(), self.n);
         let half = self.n / 2;
         let mut field = input.to_vec();
-        for c in 0..half {
-            self.apply_column(c, &mut field);
-        }
+        self.mesh.propagate_columns(0..half, &mut field);
         for (i, f) in field.iter_mut().enumerate() {
             *f = self.attens[i].apply(*f * C64::cis(self.mid_phases[i]));
         }
-        for c in half..self.n {
-            self.apply_column(c, &mut field);
-        }
+        self.mesh.propagate_columns(half..self.n, &mut field);
         for (f, &p) in field.iter_mut().zip(self.out_phases.iter()) {
             *f *= C64::cis(p);
         }
         field
-    }
-
-    fn apply_column(&self, c: usize, field: &mut [C64]) {
-        for slot in self.mesh.column(c) {
-            let t = slot.phase.transfer();
-            let a = field[slot.mode];
-            let b = field[slot.mode + 1];
-            field[slot.mode] = t[0][0] * a + t[0][1] * b;
-            field[slot.mode + 1] = t[1][0] * a + t[1][1] * b;
-        }
     }
 
     /// The full `N×N` transfer matrix (generally non-unitary once

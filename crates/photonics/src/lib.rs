@@ -37,4 +37,4 @@ pub use imperfection::{crosstalk_floor_db, CouplerImbalance, ThermalModel};
 pub use mesh::{MziSlot, MzimMesh, RouteTrace};
 pub use mzi::{Attenuator, MziPhase};
 pub use progstore::{PartitionProgram, ProgStoreStats, ProgramStore};
-pub use svd_circuit::SvdCircuit;
+pub use svd_circuit::{SvdCircuit, SvdScratch};

@@ -7,9 +7,25 @@
 //! transfer matrix (paper §3.1.1), programmed here by
 //! [`crate::clements::decompose`].
 
-use crate::mzi::MziPhase;
+use crate::mzi::{MziPhase, Transfer};
 use crate::{PhotonicsError, Result};
 use flumen_linalg::{CMat, C64};
+use std::ops::Range;
+use std::sync::OnceLock;
+
+/// Index in an `n`-wire mesh's slot list of column `c`'s first MZI, which
+/// is also the MZI count of columns `0..c`: even columns hold `⌊n/2⌋` MZIs
+/// and odd ones `⌊(n−1)/2⌋`.
+fn column_start(n: usize, c: usize) -> usize {
+    c.div_ceil(2) * (n / 2) + c / 2 * ((n - 1) / 2)
+}
+
+/// The bar state's transfer and the phasor `e^{j0}`: what every slot and
+/// output of a reset mesh caches, computed once per process.
+fn reset_values() -> (Transfer, C64) {
+    static VALUES: OnceLock<(Transfer, C64)> = OnceLock::new();
+    *VALUES.get_or_init(|| (MziPhase::bar().transfer(), C64::cis(0.0)))
+}
 
 /// One physical MZI slot in the mesh: the column it sits in and the upper
 /// of the two waveguides it couples.
@@ -25,6 +41,13 @@ pub struct MziSlot {
 
 /// A rectangular (Clements-layout) MZI mesh with `n` inputs.
 ///
+/// Every phase write ([`MzimMesh::set_phase`], [`MzimMesh::reset`],
+/// [`MzimMesh::set_output_phases`], [`MzimMesh::map_phases`],
+/// [`MzimMesh::map_output_phases`]) also caches
+/// the MZI's 2×2 transfer or the output phasor `e^{jα}`, so propagation
+/// reads those caches and does no trigonometry. They hold exactly the bits
+/// `MziPhase::transfer()` and `C64::cis(α)` give for the phases stored.
+///
 /// # Examples
 ///
 /// ```
@@ -38,10 +61,14 @@ pub struct MzimMesh {
     n: usize,
     /// Flattened slots, ordered by column then by mode.
     slots: Vec<MziSlot>,
-    /// `col_ranges[c]` is the index range of column `c` in `slots`.
-    col_ranges: Vec<(usize, usize)>,
+    /// Number of columns.
+    depth: usize,
     /// Output phase screen: output `i` is multiplied by `e^{jα_i}`.
     output_phases: Vec<f64>,
+    /// `transfers[k]` is `slots[k].phase.transfer()`.
+    transfers: Vec<Transfer>,
+    /// `phasors[i]` is `C64::cis(output_phases[i])`.
+    phasors: Vec<C64>,
 }
 
 impl MzimMesh {
@@ -65,10 +92,8 @@ impl MzimMesh {
     pub fn with_depth(n: usize, depth: usize) -> Self {
         assert!(n >= 2, "a mesh needs at least 2 waveguides");
         assert!(depth >= 1, "a mesh needs at least one column");
-        let mut slots = Vec::new();
-        let mut col_ranges = Vec::with_capacity(depth);
+        let mut slots = Vec::with_capacity(column_start(n, depth));
         for col in 0..depth {
-            let start = slots.len();
             let mut mode = col % 2;
             while mode + 1 < n {
                 slots.push(MziSlot {
@@ -78,14 +103,17 @@ impl MzimMesh {
                 });
                 mode += 2;
             }
-            col_ranges.push((start, slots.len()));
         }
-        MzimMesh {
+        let mut mesh = MzimMesh {
             n,
+            transfers: Vec::with_capacity(slots.len()),
             slots,
-            col_ranges,
+            depth,
             output_phases: vec![0.0; n],
-        }
+            phasors: Vec::with_capacity(n),
+        };
+        mesh.reset();
+        mesh
     }
 
     /// Number of waveguides (inputs/outputs).
@@ -100,13 +128,21 @@ impl MzimMesh {
 
     /// Number of columns (`n`).
     pub fn column_count(&self) -> usize {
-        self.col_ranges.len()
+        self.depth
     }
 
     /// The slots of column `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a column.
     pub fn column(&self, c: usize) -> &[MziSlot] {
-        let (s, e) = self.col_ranges[c];
-        &self.slots[s..e]
+        assert!(
+            c < self.depth,
+            "no column {c} in a {}-column mesh",
+            self.depth
+        );
+        &self.slots[column_start(self.n, c)..column_start(self.n, c + 1)]
     }
 
     /// Iterator over all slots.
@@ -121,9 +157,48 @@ impl MzimMesh {
     /// Returns [`PhotonicsError::NotRoutable`] when no MZI exists at that
     /// position (wrong parity or out of range).
     pub fn set_phase(&mut self, col: usize, mode: usize, phase: MziPhase) -> Result<()> {
+        self.set_phase_with_transfer(col, mode, phase, phase.transfer())
+    }
+
+    /// [`MzimMesh::set_phase`] for a caller that already holds
+    /// `phase.transfer()` (the Clements decomposition computes it while
+    /// nulling).
+    pub(crate) fn set_phase_with_transfer(
+        &mut self,
+        col: usize,
+        mode: usize,
+        phase: MziPhase,
+        transfer: Transfer,
+    ) -> Result<()> {
+        debug_assert!(
+            transfer
+                .iter()
+                .flatten()
+                .zip(phase.transfer().iter().flatten())
+                .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()),
+            "cached transfer must be the phase's own"
+        );
         let idx = self.slot_index(col, mode)?;
         self.slots[idx].phase = phase;
+        self.transfers[idx] = transfer;
         Ok(())
+    }
+
+    /// Replaces every MZI phase `p` with `f(p)`, in slot order (column,
+    /// then mode).
+    pub fn map_phases(&mut self, mut f: impl FnMut(MziPhase) -> MziPhase) {
+        for (slot, t) in self.slots.iter_mut().zip(self.transfers.iter_mut()) {
+            slot.phase = f(slot.phase);
+            *t = slot.phase.transfer();
+        }
+    }
+
+    /// Replaces every output phase `α` with `f(α)`.
+    pub fn map_output_phases(&mut self, mut f: impl FnMut(f64) -> f64) {
+        for (p, w) in self.output_phases.iter_mut().zip(self.phasors.iter_mut()) {
+            *p = f(*p);
+            *w = C64::cis(*p);
+        }
     }
 
     /// The phase of the MZI at `(col, mode)`.
@@ -136,21 +211,25 @@ impl MzimMesh {
     }
 
     fn slot_index(&self, col: usize, mode: usize) -> Result<usize> {
-        if col >= self.col_ranges.len() || mode % 2 != col % 2 || mode + 1 >= self.n {
+        if col >= self.depth || mode % 2 != col % 2 || mode + 1 >= self.n {
             return Err(PhotonicsError::NotRoutable {
                 reason: format!("no MZI at column {col}, mode {mode} in a {}-mesh", self.n),
             });
         }
-        let (s, _) = self.col_ranges[col];
-        Ok(s + (mode - col % 2) / 2)
+        Ok(column_start(self.n, col) + (mode - col % 2) / 2)
     }
 
     /// Sets every MZI to the bar state and clears the output phases.
     pub fn reset(&mut self) {
+        let (bar, one) = reset_values();
         for s in &mut self.slots {
             s.phase = MziPhase::bar();
         }
+        self.transfers.clear();
+        self.transfers.resize(self.slots.len(), bar);
         self.output_phases.fill(0.0);
+        self.phasors.clear();
+        self.phasors.resize(self.n, one);
     }
 
     /// Sets the output phase screen.
@@ -166,6 +245,9 @@ impl MzimMesh {
             });
         }
         self.output_phases.copy_from_slice(phases);
+        for (w, &p) in self.phasors.iter_mut().zip(phases) {
+            *w = C64::cis(p);
+        }
         Ok(())
     }
 
@@ -182,19 +264,52 @@ impl MzimMesh {
     ///
     /// Panics if `input.len() != n`.
     pub fn propagate(&self, input: &[C64]) -> Vec<C64> {
-        assert_eq!(input.len(), self.n, "input vector must have n elements");
         let mut field = input.to_vec();
-        for slot in &self.slots {
-            let t = slot.phase.transfer();
+        self.propagate_in_place(&mut field);
+        field
+    }
+
+    /// [`MzimMesh::propagate`] over a caller-owned field vector: the input
+    /// fields are replaced by the output fields, and nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `field.len() != n`.
+    pub fn propagate_in_place(&self, field: &mut [C64]) {
+        assert_eq!(field.len(), self.n, "input vector must have n elements");
+        self.propagate_columns(0..self.column_count(), field);
+        for (f, &w) in field.iter_mut().zip(self.phasors.iter()) {
+            *f *= w;
+        }
+    }
+
+    /// Propagates `field` through the MZIs of columns `cols` only, in
+    /// column order, without the output phase screen. This is the one
+    /// propagation kernel: [`MzimMesh::propagate`] runs it over every
+    /// column, and `FlumenFabric` over each half of its mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is out of range or `field.len() != n`.
+    pub fn propagate_columns(&self, cols: Range<usize>, field: &mut [C64]) {
+        assert_eq!(field.len(), self.n, "input vector must have n elements");
+        assert!(cols.end <= self.depth, "columns {cols:?} exceed the mesh");
+        if cols.is_empty() {
+            return;
+        }
+        let (start, end) = (
+            column_start(self.n, cols.start),
+            column_start(self.n, cols.end),
+        );
+        for (slot, t) in self.slots[start..end]
+            .iter()
+            .zip(&self.transfers[start..end])
+        {
             let a = field[slot.mode];
             let b = field[slot.mode + 1];
             field[slot.mode] = t[0][0] * a + t[0][1] * b;
             field[slot.mode + 1] = t[1][0] * a + t[1][1] * b;
         }
-        for (f, &p) in field.iter_mut().zip(self.output_phases.iter()) {
-            *f *= C64::cis(p);
-        }
-        field
     }
 
     /// Propagates a batch of input vectors through the mesh with a single
@@ -216,13 +331,12 @@ impl MzimMesh {
     /// The full `n×n` complex transfer matrix of the mesh.
     pub fn transfer_matrix(&self) -> CMat {
         let mut u = CMat::identity(self.n);
-        for slot in &self.slots {
-            u.apply_2x2_left(slot.mode, slot.phase.transfer());
+        for (slot, &t) in self.slots.iter().zip(&self.transfers) {
+            u.apply_2x2_left(slot.mode, t);
         }
         // Output phase screen as an in-place row scaling — the diagonal
         // matmul it replaces was the last O(n³) allocation on this path.
-        for (i, &p) in self.output_phases.iter().enumerate() {
-            let w = C64::cis(p);
+        for (i, &w) in self.phasors.iter().enumerate() {
             for c in 0..self.n {
                 u[(i, c)] = w * u[(i, c)];
             }

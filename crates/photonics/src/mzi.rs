@@ -20,6 +20,9 @@
 use flumen_linalg::C64;
 use std::f64::consts::PI;
 
+/// A 2×2 MZI transfer matrix, as [`MziPhase::transfer`] returns it.
+pub(crate) type Transfer = [[C64; 2]; 2];
+
 /// Phase settings of one MZI.
 ///
 /// # Examples
@@ -100,7 +103,14 @@ impl MziPhase {
         let half = self.theta / 2.0;
         let (s, c) = (half.sin(), half.cos());
         let g = C64::I * C64::cis(-half); // j·e^{-jθ/2}
-        let e_phi = C64::cis(self.phi);
+        Self::transfer_from_parts(g, C64::cis(self.phi), s, c)
+    }
+
+    /// The transfer matrix assembled from its trigonometric parts:
+    /// `g = j·e^{-jθ/2}`, `e_phi = e^{jφ}`, `s = sin(θ/2)`, `c = cos(θ/2)`.
+    /// [`MziPhase::transfer`] is this on freshly computed parts, so a
+    /// caller that already holds them gets the same bits for less work.
+    pub(crate) fn transfer_from_parts(g: C64, e_phi: C64, s: f64, c: f64) -> Transfer {
         [[g * e_phi * s, g * c], [g * e_phi * c, g * -s]]
     }
 

@@ -24,11 +24,12 @@
 //!   version-mismatched files are counted in [`ProgStoreStats::corrupt`]
 //!   and recomputed, never trusted and never fatal.
 
-use crate::clements::{decompose, MeshProgram};
+use crate::clements::MeshProgram;
 use crate::mzi::MziPhase;
+use crate::svd_circuit::with_program_work;
 use crate::{PhotonicsError, Result};
 use flumen_linalg::store::{seal, unseal, ByteStore, StoreStats};
-use flumen_linalg::{sha256_hex, spectral_scale, svd, RMat};
+use flumen_linalg::{sha256_hex, RMat};
 use std::path::{Path, PathBuf};
 
 /// Version salt of the on-disk binary format and of the decomposition
@@ -90,18 +91,9 @@ pub fn derive_program(m: &RMat) -> Result<PartitionProgram> {
             requirement: "partition programs need a square matrix, ≥ 2×2",
         });
     }
-    let (scaled, norm) = spectral_scale(m)?;
-    let f = svd(&scaled)?;
-    for &s in &f.sigma {
-        if s > 1.0 + 1e-9 {
-            return Err(PhotonicsError::SingularValueTooLarge { sigma: s });
-        }
-    }
-    Ok(PartitionProgram {
-        v_prog: decompose(&f.v.transpose().to_cmat())?,
-        u_prog: decompose(&f.u.to_cmat())?,
-        sigma: f.sigma,
-        norm,
+    with_program_work(|work| {
+        work.derive(m, true)?;
+        Ok(work.prog.clone())
     })
 }
 

@@ -11,12 +11,13 @@
 //! digitally after readout.
 
 use crate::analog::AnalogModel;
-use crate::clements::{apply_program, program_mesh};
+use crate::clements::{apply_program_with, decompose_into, ClementsWork, MeshProgram};
 use crate::mesh::MzimMesh;
-use crate::mzi::Attenuator;
-use crate::progstore::{derive_program, matrix_key, PartitionProgram, ProgramStore};
+use crate::mzi::{Attenuator, MziPhase, Transfer};
+use crate::progstore::{matrix_key, PartitionProgram, ProgramStore};
 use crate::{PhotonicsError, Result};
-use flumen_linalg::{spectral_scale, svd, RMat, C64};
+use flumen_linalg::{CMat, RMat, SvdWork, C64};
+use std::cell::RefCell;
 
 /// A programmed `N`-input SVD MZIM circuit.
 ///
@@ -50,7 +51,8 @@ pub struct SvdCircuit {
 impl SvdCircuit {
     /// Programs the circuit for an arbitrary square matrix, applying
     /// spectral-norm pre-scaling automatically. The scale is folded back in
-    /// [`SvdCircuit::apply`].
+    /// [`SvdCircuit::apply`]. This is [`SvdCircuit::reprogram`] on a fresh
+    /// circuit and scratch.
     ///
     /// # Errors
     ///
@@ -58,18 +60,16 @@ impl SvdCircuit {
     ///   non-square.
     /// * Propagates decomposition failures.
     pub fn program(m: &RMat) -> Result<Self> {
-        let (scaled, norm) = spectral_scale(m)?;
-        let mut c = Self::program_prescaled(&scaled)?;
-        c.scale = norm;
-        Ok(c)
+        Self::programmed(m, true)
     }
 
     /// Programs the circuit like [`SvdCircuit::program`], consulting an
     /// optional [`ProgramStore`] first: a store hit replays the persisted
     /// decomposition (bit-identical to the cold path — both run the same
-    /// [`derive_program`] pipeline and the store round-trips every `f64`
-    /// bit), a miss derives and writes the entry through for the next
-    /// caller. With `store == None` this *is* [`SvdCircuit::program`].
+    /// [`crate::progstore::derive_program`] pipeline and the store
+    /// round-trips every `f64` bit), a miss derives and writes the entry
+    /// through for the next caller. With `store == None` this *is*
+    /// [`SvdCircuit::program`].
     ///
     /// # Errors
     ///
@@ -78,14 +78,10 @@ impl SvdCircuit {
         let Some(store) = store else {
             return Self::program(m);
         };
-        let key = matrix_key(m);
-        let w = m.rows();
-        if let Some(prog) = store.load(&key, w) {
-            return Self::from_program(&prog);
-        }
-        let prog = derive_program(m)?;
-        store.store(&key, w, &prog);
-        Self::from_program(&prog)
+        check_square(m)?;
+        let mut c = Self::new(m.rows());
+        c.reprogram_with_store(m, Some(store), &mut SvdScratch::new())?;
+        Ok(c)
     }
 
     /// Builds the circuit from a pre-derived [`PartitionProgram`]
@@ -105,22 +101,9 @@ impl SvdCircuit {
                 requirement: "partition program meshes and σ must agree, ≥ 2×2",
             });
         }
-        let mut v_mesh = MzimMesh::new(n);
-        apply_program(&mut v_mesh, &prog.v_prog)?;
-        let mut u_mesh = MzimMesh::new(n);
-        apply_program(&mut u_mesh, &prog.u_prog)?;
-        let attens = prog
-            .sigma
-            .iter()
-            .map(|&s| Attenuator::with_amplitude(s.min(1.0)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(SvdCircuit {
-            n,
-            v_mesh,
-            attens,
-            u_mesh,
-            scale: prog.norm,
-        })
+        let mut c = Self::new(n);
+        c.load(prog, None, &mut Vec::new())?;
+        Ok(c)
     }
 
     /// Programs the circuit for a matrix whose singular values are already
@@ -132,35 +115,102 @@ impl SvdCircuit {
     /// * [`PhotonicsError::InvalidSize`] for matrices smaller than 2×2 or
     ///   non-square.
     pub fn program_prescaled(m: &RMat) -> Result<Self> {
-        let n = m.rows();
-        if m.cols() != n || n < 2 {
-            return Err(PhotonicsError::InvalidSize {
-                n,
-                requirement: "SVD circuit needs a square matrix, ≥ 2×2",
-            });
-        }
-        let f = svd(m)?;
-        if let Some(&top) = f.sigma.first() {
-            if top > 1.0 + 1e-9 {
-                return Err(PhotonicsError::SingularValueTooLarge { sigma: top });
-            }
-        }
-        let mut v_mesh = MzimMesh::new(n);
-        program_mesh(&mut v_mesh, &f.v.transpose().to_cmat())?;
-        let mut u_mesh = MzimMesh::new(n);
-        program_mesh(&mut u_mesh, &f.u.to_cmat())?;
-        let attens = f
-            .sigma
-            .iter()
-            .map(|&s| Attenuator::with_amplitude(s.min(1.0)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(SvdCircuit {
+        Self::programmed(m, false)
+    }
+
+    /// A fresh circuit programmed for `m`, pre-scaled or not.
+    fn programmed(m: &RMat, prescale: bool) -> Result<Self> {
+        check_square(m)?;
+        let mut c = Self::new(m.rows());
+        with_program_work(|work| c.reprogram_from(m, prescale, work))?;
+        Ok(c)
+    }
+
+    /// An idle `n`-wide circuit: both meshes in the bar state, transparent
+    /// attenuators and scale 1. [`SvdCircuit::reprogram`] makes it compute.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    pub fn new(n: usize) -> Self {
+        SvdCircuit {
             n,
-            v_mesh,
-            attens,
-            u_mesh,
+            v_mesh: MzimMesh::new(n),
+            attens: vec![Attenuator::transparent(); n],
+            u_mesh: MzimMesh::new(n),
             scale: 1.0,
-        })
+        }
+    }
+
+    /// Reprograms this circuit in place for the square matrix `m`, exactly
+    /// as [`SvdCircuit::program`] would build it (bit for bit). All work
+    /// happens in `scratch`: once the scratch and this circuit have been
+    /// used at `m`'s width, reprogramming allocates nothing. A circuit of
+    /// another width is rebuilt first.
+    ///
+    /// # Errors
+    ///
+    /// See [`SvdCircuit::program`]. After an error the circuit holds a
+    /// partial program and must be reprogrammed before use.
+    pub fn reprogram(&mut self, m: &RMat, scratch: &mut SvdScratch) -> Result<()> {
+        check_square(m)?;
+        self.reprogram_from(m, true, scratch.program_work())
+    }
+
+    /// [`SvdCircuit::reprogram`] through an optional [`ProgramStore`], as
+    /// [`SvdCircuit::program_with_store`] does: a hit loads the stored
+    /// program, a miss derives it in `scratch` and writes it through. With
+    /// `store == None` this is [`SvdCircuit::reprogram`].
+    ///
+    /// # Errors
+    ///
+    /// See [`SvdCircuit::reprogram`].
+    pub fn reprogram_with_store(
+        &mut self,
+        m: &RMat,
+        store: Option<&ProgramStore>,
+        scratch: &mut SvdScratch,
+    ) -> Result<()> {
+        let Some(store) = store else {
+            return self.reprogram(m, scratch);
+        };
+        check_square(m)?;
+        let key = matrix_key(m);
+        let w = m.rows();
+        let work = scratch.program_work();
+        if let Some(prog) = store.load(&key, w) {
+            return self.load(&prog, None, &mut work.wire_free);
+        }
+        work.derive(m, true)?;
+        store.store(&key, w, &work.prog);
+        work.load_into(self)
+    }
+
+    /// Derives `m`'s program in `work` and loads it.
+    fn reprogram_from(&mut self, m: &RMat, prescale: bool, work: &mut ProgramWork) -> Result<()> {
+        work.derive(m, prescale)?;
+        work.load_into(self)
+    }
+
+    /// Writes a derived program into the meshes and attenuators, with the
+    /// `Vᵀ` and `U` op transfers if the caller has them.
+    fn load(
+        &mut self,
+        prog: &PartitionProgram,
+        transfers: Option<(&[Transfer], &[Transfer])>,
+        wire_free: &mut Vec<usize>,
+    ) -> Result<()> {
+        if self.n != prog.width() {
+            *self = Self::new(prog.width());
+        }
+        let (v_ts, u_ts) = transfers.unzip();
+        apply_program_with(&mut self.v_mesh, &prog.v_prog, v_ts, wire_free)?;
+        apply_program_with(&mut self.u_mesh, &prog.u_prog, u_ts, wire_free)?;
+        for (a, &s) in self.attens.iter_mut().zip(&prog.sigma) {
+            *a = Attenuator::with_amplitude(s.min(1.0))?;
+        }
+        self.scale = prog.norm;
+        Ok(())
     }
 
     /// Quantizes every programmed phase to the model's phase-DAC
@@ -211,24 +261,47 @@ impl SvdCircuit {
     ///
     /// Panics if `x.len() != n`.
     pub fn apply_with_model(&self, x: &[f64], model: &AnalogModel, seed: u64) -> Vec<f64> {
+        let mut ys = vec![0.0; self.n];
+        self.apply_into(x, model, seed, &mut SvdScratch::new(), &mut ys);
+        ys
+    }
+
+    /// [`SvdCircuit::apply_with_model`] into a caller-owned output, with
+    /// the E-field vector kept in `scratch`: once the scratch has been used
+    /// at this width, applying allocates nothing. `out` receives exactly
+    /// the bits `apply_with_model` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n` or `out.len() != n`.
+    pub fn apply_into(
+        &self,
+        x: &[f64],
+        model: &AnalogModel,
+        seed: u64,
+        scratch: &mut SvdScratch,
+        out: &mut [f64],
+    ) {
         assert_eq!(x.len(), self.n, "input vector must match circuit size");
-        let mut xq = x.to_vec();
-        model.quantize_inputs(&mut xq);
-        let fields: Vec<C64> = xq.iter().map(|&v| C64::from_re(v)).collect();
-        let mid = self.v_mesh.propagate(&fields);
-        let attenuated: Vec<C64> = mid
-            .iter()
-            .zip(self.attens.iter())
-            .map(|(f, a)| a.apply(*f))
-            .collect();
-        let out = self.u_mesh.propagate(&attenuated);
+        assert_eq!(out.len(), self.n, "output vector must match circuit size");
+        out.copy_from_slice(x);
+        model.quantize_inputs(out);
+        let fields = &mut scratch.fields;
+        fields.clear();
+        fields.extend(out.iter().map(|&v| C64::from_re(v)));
+        self.v_mesh.propagate_in_place(fields);
+        for (f, a) in fields.iter_mut().zip(self.attens.iter()) {
+            *f = a.apply(*f);
+        }
+        self.u_mesh.propagate_in_place(fields);
         // Coherent (homodyne) readout recovers the signed amplitude.
-        let mut ys: Vec<f64> = out.iter().map(|f| f.re).collect();
-        model.apply_readout(&mut ys, seed);
-        for y in ys.iter_mut() {
+        for (y, f) in out.iter_mut().zip(fields.iter()) {
+            *y = f.re;
+        }
+        model.apply_readout(out, seed);
+        for y in out.iter_mut() {
             *y *= self.scale;
         }
-        ys
     }
 
     /// WDM-parallel matrix-matrix product (paper §3.3.1): each column of
@@ -251,21 +324,182 @@ fn quantize_mesh_phases(mesh: &mut MzimMesh, model: &AnalogModel) {
     if model.phase_bits == 0 {
         return;
     }
-    let slots: Vec<(usize, usize, crate::MziPhase)> =
-        mesh.iter().map(|s| (s.col, s.mode, s.phase)).collect();
-    for (col, mode, phase) in slots {
-        let q = crate::MziPhase::new(
-            model.quantize_phase(phase.theta),
-            model.quantize_phase(phase.phi),
-        );
-        mesh.set_phase(col, mode, q).expect("slot exists");
+    mesh.map_phases(|p| MziPhase::new(model.quantize_phase(p.theta), model.quantize_phase(p.phi)));
+    mesh.map_output_phases(|p| model.quantize_phase(p));
+}
+
+/// Rejects non-square and sub-2×2 matrices.
+fn check_square(m: &RMat) -> Result<()> {
+    let n = m.rows();
+    if m.cols() != n || n < 2 {
+        return Err(PhotonicsError::InvalidSize {
+            n,
+            requirement: "SVD circuit needs a square matrix, ≥ 2×2",
+        });
     }
-    let phases: Vec<f64> = mesh
-        .output_phases()
-        .iter()
-        .map(|&p| model.quantize_phase(p))
-        .collect();
-    mesh.set_output_phases(&phases).expect("same length");
+    Ok(())
+}
+
+/// Per-worker buffers for programming and applying [`SvdCircuit`]s off
+/// the heap: the SVD work, the scaled block, the unitary under
+/// decomposition, the Clements `W` and op lists, the derived program, the
+/// mesh schedule and the E-field vector. One scratch serves circuits of
+/// any width; its buffers grow to the widest seen. A new scratch allocates
+/// nothing until first used.
+///
+/// # Examples
+///
+/// ```
+/// use flumen_photonics::{AnalogModel, SvdCircuit, SvdScratch};
+/// use flumen_linalg::RMat;
+///
+/// # fn main() -> Result<(), flumen_photonics::PhotonicsError> {
+/// let mut scratch = SvdScratch::new();
+/// let mut circuit = SvdCircuit::program(&RMat::identity(4))?;
+/// let m = RMat::from_fn(4, 4, |r, c| ((r * 4 + c) as f64).cos());
+/// circuit.reprogram(&m, &mut scratch)?;
+/// let x = [0.5, -0.25, 0.125, 1.0];
+/// let mut y = [0.0; 4];
+/// circuit.apply_into(&x, &AnalogModel::ideal(), 0, &mut scratch, &mut y);
+/// assert_eq!(y.to_vec(), SvdCircuit::program(&m)?.apply(&x));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SvdScratch {
+    /// Programming buffers, built on the first program.
+    program: Option<ProgramWork>,
+    /// E-field vector of [`SvdCircuit::apply_into`].
+    fields: Vec<C64>,
+}
+
+impl SvdScratch {
+    /// An empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn program_work(&mut self) -> &mut ProgramWork {
+        self.program.get_or_insert_with(ProgramWork::new)
+    }
+}
+
+thread_local! {
+    /// The derive buffers of this thread's one-shot programming calls
+    /// ([`SvdCircuit::program`], [`crate::progstore::derive_program`]), so
+    /// those wrappers allocate little beyond what they return.
+    static PROGRAM_WORK: RefCell<ProgramWork> = RefCell::new(ProgramWork::new());
+}
+
+/// Runs `f` on this thread's [`ProgramWork`] (a fresh one if it is
+/// already in use further up the stack).
+pub(crate) fn with_program_work<R>(f: impl FnOnce(&mut ProgramWork) -> R) -> R {
+    PROGRAM_WORK.with(|work| match work.try_borrow_mut() {
+        Ok(mut work) => f(&mut work),
+        Err(_) => f(&mut ProgramWork::new()),
+    })
+}
+
+/// The derive pipeline of one partition program (paper §3.3.1 then
+/// §3.1.1): spectral pre-scaling, SVD, and one Clements decomposition per
+/// unitary factor, over reusable buffers. [`SvdCircuit`] programs through
+/// it and [`crate::progstore::derive_program`] returns its result, so a
+/// stored program and a cold one are the same bits.
+#[derive(Debug, Clone)]
+pub(crate) struct ProgramWork {
+    svd: SvdWork,
+    scaled: RMat,
+    unitary: CMat,
+    clements: ClementsWork,
+    /// The last derived program.
+    pub(crate) prog: PartitionProgram,
+    /// Op transfers of `prog.v_prog` and `prog.u_prog`.
+    v_transfers: Vec<Transfer>,
+    u_transfers: Vec<Transfer>,
+    wire_free: Vec<usize>,
+}
+
+impl ProgramWork {
+    pub(crate) fn new() -> Self {
+        ProgramWork {
+            svd: SvdWork::new(),
+            scaled: RMat::zeros(1, 1),
+            unitary: CMat::zeros(1, 1),
+            clements: ClementsWork::new(),
+            prog: PartitionProgram {
+                v_prog: MeshProgram::empty(),
+                u_prog: MeshProgram::empty(),
+                sigma: Vec::new(),
+                norm: 1.0,
+            },
+            v_transfers: Vec::new(),
+            u_transfers: Vec::new(),
+            wire_free: Vec::new(),
+        }
+    }
+
+    /// Loads the last derived program into `circuit`.
+    fn load_into(&mut self, circuit: &mut SvdCircuit) -> Result<()> {
+        let transfers = (&self.v_transfers[..], &self.u_transfers[..]);
+        circuit.load(&self.prog, Some(transfers), &mut self.wire_free)
+    }
+
+    /// Derives the program of the square, at least 2×2 matrix `m` into
+    /// `self.prog`. With `prescale`, `m` is first divided by its spectral
+    /// norm (kept as `prog.norm`; an all-zero `m` keeps norm 1), as
+    /// [`flumen_linalg::spectral_scale`] does; without, `m`'s singular
+    /// values must already be at most 1.
+    ///
+    /// # Errors
+    ///
+    /// * [`PhotonicsError::SingularValueTooLarge`] if some `σᵢ > 1`.
+    /// * Propagates SVD and decomposition failures.
+    pub(crate) fn derive(&mut self, m: &RMat, prescale: bool) -> Result<()> {
+        let n = m.rows();
+        debug_assert!(m.cols() == n && n >= 2, "callers check the shape");
+        self.scaled.copy_from(m);
+        let mut norm = 1.0;
+        if prescale {
+            let top = self.svd.spectral_norm(m)?;
+            if top > 1e-300 {
+                let k = 1.0 / top;
+                for v in self.scaled.as_mut_slice() {
+                    *v *= k;
+                }
+                norm = top;
+            }
+        }
+        self.svd.factor(&self.scaled)?;
+        if let Some(&top) = self.svd.sigma().first() {
+            if top > 1.0 + 1e-9 {
+                return Err(PhotonicsError::SingularValueTooLarge { sigma: top });
+            }
+        }
+        // Vᵀ, then U, lifted into E-field space.
+        let v = self.svd.v();
+        self.unitary.reshape_zeroed(n, n);
+        for r in 0..n {
+            for c in 0..n {
+                self.unitary[(r, c)] = C64::from_re(v[(c, r)]);
+            }
+        }
+        decompose_into(&self.unitary, &mut self.clements, &mut self.prog.v_prog)?;
+        self.v_transfers.clear();
+        self.v_transfers.extend_from_slice(&self.clements.transfers);
+        let u = self.svd.u();
+        for r in 0..n {
+            for c in 0..n {
+                self.unitary[(r, c)] = C64::from_re(u[(r, c)]);
+            }
+        }
+        decompose_into(&self.unitary, &mut self.clements, &mut self.prog.u_prog)?;
+        self.u_transfers.clear();
+        self.u_transfers.extend_from_slice(&self.clements.transfers);
+        self.prog.sigma.clear();
+        self.prog.sigma.extend_from_slice(self.svd.sigma());
+        self.prog.norm = norm;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -158,3 +158,36 @@ fn batch_rejects_mismatched_vectors() {
         .compute_batch_in(0, &[vec![0.5; 4], vec![0.5; 5]])
         .is_err());
 }
+
+/// A rejected batch leaves the mesh as it was: the lengths are checked
+/// before the program is written, so the phases and output screen of the
+/// previous programming survive bit for bit.
+#[test]
+fn rejected_batch_leaves_the_mesh_untouched() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut mesh = MzimMesh::new(4);
+    apply_program(&mut mesh, &decompose(&random_unitary(4, &mut rng)).unwrap()).unwrap();
+    let state = |mesh: &MzimMesh| {
+        let phases: Vec<(u64, u64)> = mesh
+            .iter()
+            .map(|s| (s.phase.theta.to_bits(), s.phase.phi.to_bits()))
+            .collect();
+        let screen: Vec<u64> = mesh.output_phases().iter().map(|p| p.to_bits()).collect();
+        (phases, screen)
+    };
+    let before = state(&mesh);
+    let probe = vec![C64::new(0.3, -0.2); 4];
+    let out_before = mesh.propagate(&probe);
+
+    let other = decompose(&random_unitary(4, &mut rng)).unwrap();
+    let bad = vec![vec![C64::ONE; 4], vec![C64::ONE; 5]];
+    assert!(matches!(
+        other.apply_batch(&mut mesh, &bad),
+        Err(flumen_photonics::PhotonicsError::DimensionMismatch {
+            expected: 4,
+            actual: 5
+        })
+    ));
+    assert_eq!(state(&mesh), before);
+    assert!(bits_eq(&mesh.propagate(&probe), &out_before));
+}

@@ -2,7 +2,9 @@
 
 use flumen_linalg::{random_unitary, RMat, C64};
 use flumen_photonics::clements::program_mesh;
-use flumen_photonics::{routing, AnalogModel, FlumenFabric, MzimMesh, PartitionConfig, SvdCircuit};
+use flumen_photonics::{
+    routing, AnalogModel, FlumenFabric, MziPhase, MzimMesh, PartitionConfig, SvdCircuit,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,6 +136,52 @@ proptest! {
         prop_assert!((pin - pout).abs() < 1e-9 * (1.0 + pin));
     }
 
+    /// The mesh's cached transfers and output phasors never go stale: after
+    /// any sequence of `set_phase`, `reset`, `set_output_phases` and the
+    /// in-place maps, `propagate` gives the bits of the per-slot formula,
+    /// on rectangular and deeper (Reck-depth) meshes alike.
+    #[test]
+    fn cached_propagation_matches_per_slot_formula(
+        n in 2usize..9,
+        deep in any::<bool>(),
+        steps in 0usize..24,
+        seed in any::<u32>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let depth = if deep { (2 * n).saturating_sub(3).max(1) } else { n };
+        let mut mesh = MzimMesh::with_depth(n, depth);
+        for _ in 0..steps {
+            match rng.gen_range(0..5) {
+                0 | 1 => {
+                    let col = rng.gen_range(0..depth);
+                    let mode = col % 2 + 2 * rng.gen_range(0..n / 2);
+                    let phase = MziPhase::new(rng.gen_range(-1.0..4.0), rng.gen_range(-7.0..7.0));
+                    // Slots that do not exist are rejected and change nothing.
+                    let _ = mesh.set_phase(col, mode, phase);
+                }
+                2 => {
+                    let phases: Vec<f64> = (0..n).map(|_| rng.gen_range(-7.0..7.0)).collect();
+                    mesh.set_output_phases(&phases).unwrap();
+                }
+                3 => mesh.reset(),
+                _ => {
+                    let step = rng.gen_range(0.01..0.5);
+                    mesh.map_phases(|p| MziPhase::new((p.theta / step).round() * step, p.phi + step));
+                    mesh.map_output_phases(|p| p - step);
+                }
+            }
+            let x: Vec<C64> = (0..n)
+                .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let cached = mesh.propagate(&x);
+            let formula = per_slot_propagate(&mesh, &x);
+            for (a, b) in cached.iter().zip(&formula) {
+                prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
+                prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
+        }
+    }
+
     /// A program-cache hit replays the stored phase lists, so reprogramming
     /// the same weight matrix leaves the fabric in a bit-identical state —
     /// for any random matrix and any legal partition width.
@@ -162,4 +210,20 @@ proptest! {
         prop_assert_eq!(fabric.last_reprogram().changed_mzis, 0);
         prop_assert_eq!(fabric.last_reprogram().changed_attens, 0);
     }
+}
+
+/// Propagation as the mesh defines it, recomputing every MZI's transfer
+/// and every output phasor from the stored phases.
+fn per_slot_propagate(mesh: &MzimMesh, input: &[C64]) -> Vec<C64> {
+    let mut field = input.to_vec();
+    for slot in mesh.iter() {
+        let t = slot.phase.transfer();
+        let (a, b) = (field[slot.mode], field[slot.mode + 1]);
+        field[slot.mode] = t[0][0] * a + t[0][1] * b;
+        field[slot.mode + 1] = t[1][0] * a + t[1][1] * b;
+    }
+    for (f, &p) in field.iter_mut().zip(mesh.output_phases()) {
+        *f *= C64::cis(p);
+    }
+    field
 }

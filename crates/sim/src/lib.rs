@@ -16,6 +16,8 @@
 //! * [`Snapshotable`] + [`Snapshot`] — versioned canonical-JSON
 //!   checkpoints that resume bit-identically mid-run, extending the
 //!   sweep's content-addressed result cache to in-progress jobs.
+//! * [`par_map`] — the one worker pool, shared by sweeps, serving and the
+//!   photonic executor.
 //!
 //! The [`json`] module (canonical serialization, previously private to
 //! `flumen-sweep`) lives here so snapshots and job hashes share one
@@ -29,6 +31,7 @@ pub mod event;
 pub mod json;
 pub mod kernel;
 pub mod phase;
+pub mod pool;
 pub mod rng;
 pub mod snapshot;
 
@@ -41,5 +44,6 @@ pub use flumen_units::Cycles;
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use kernel::{run_for, run_phase, run_until, RunOutcome};
 pub use phase::SimPhase;
+pub use pool::{dedup_positions, expect_all, par_map, par_map_with};
 pub use rng::SimRng;
 pub use snapshot::{Snapshot, Snapshotable, SNAPSHOT_VERSION};

@@ -34,7 +34,6 @@ pub mod exec;
 pub mod hash;
 pub mod job;
 pub mod metrics;
-pub mod pool;
 pub mod progstore;
 pub mod sink;
 
@@ -46,6 +45,9 @@ pub use cache::{CacheEntry, ResultCache};
 pub use checkpoint::CheckpointStore;
 pub use exec::{run_plan, JobRecord, SweepOptions, SweepPlan, SweepReport};
 pub use flumen_photonics::progstore::{ProgStoreStats, ProgramStore};
+/// The worker pool, which lives in `flumen-sim` so that the photonic
+/// executor shares it.
+pub use flumen_sim::pool;
 pub use job::{
     BenchKind, BenchSize, BenchSpec, JobResult, JobSpec, NetSpec, NocStatsPoint, CODE_VERSION,
 };

@@ -45,6 +45,7 @@ impl ResnetConv3 {
 
         let mut jobs = Vec::with_capacity(groups);
         let mut golden = vec![0.0; groups * kernels_per_group * h * w];
+        let mut out = vec![0.0; kernels_per_group];
         for g in 0..groups {
             let weights =
                 synthetic_weights(kernels_per_group * patch_len, 0.3, seed ^ (g as u64 + 1));
@@ -61,7 +62,7 @@ impl ResnetConv3 {
                             }
                         }
                     }
-                    let out = kmat.mul_vec(&patch);
+                    kmat.mul_vec_into(&patch, &mut out);
                     for (k, v) in out.iter().enumerate() {
                         golden[((g * kernels_per_group + k) * h + y) * w + x] = *v;
                     }
