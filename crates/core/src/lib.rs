@@ -54,8 +54,8 @@ pub mod scheduler;
 pub use control_unit::{ControlUnitParams, MzimControlUnit};
 pub use numerics::PhotonicExecutor;
 pub use runtime::{
-    run_benchmark, run_benchmark_checkpointed, run_benchmark_traced, run_utilization_trace,
-    CheckpointPolicy, FullRunResult, RuntimeConfig, SystemTopology,
+    run_benchmark, run_benchmark_checkpointed, run_benchmark_plan, run_benchmark_traced,
+    run_utilization_trace, CheckpointPolicy, FullRunResult, RuntimeConfig, SystemTopology,
 };
 
 // The fabric API is the public face of the architecture; re-export it.

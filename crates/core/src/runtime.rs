@@ -10,7 +10,7 @@ use flumen_sim::{run_until, Clock, Cycles, SimCtx, Snapshot, Snapshotable};
 use flumen_system::{ActivityCounts, NullServer, RunResult, SystemConfig, SystemSim};
 use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use flumen_workloads::taskgen::{self, ExecMode, TaskGenConfig};
-use flumen_workloads::Benchmark;
+use flumen_workloads::{Benchmark, WorkloadPlan};
 use std::path::PathBuf;
 
 /// The five evaluated system configurations (paper §4.1).
@@ -183,13 +183,16 @@ pub fn run_benchmark_traced(
     cfg: &RuntimeConfig,
     tracer: TraceHandle,
 ) -> FullRunResult {
-    run_topology(bench, topology, cfg, &tracer, None)
+    run_benchmark_plan(&bench.plan(), topology, cfg, &tracer, None)
 }
 
-/// Builds `topology`'s network and server and runs `bench` on them,
-/// checkpointing through `policy` when one is given.
-fn run_topology(
-    bench: &dyn Benchmark,
+/// Runs a workload plan on `topology`: builds the topology's network and
+/// server, traces through `tracer` and checkpoints through `policy` when
+/// one is given. A full-system run reads only job shapes, so this is
+/// every `run_benchmark*` call with the benchmark's data left out; the
+/// result is the same as running the benchmark the plan came from.
+pub fn run_benchmark_plan(
+    plan: &WorkloadPlan,
     topology: SystemTopology,
     cfg: &RuntimeConfig,
     tracer: &TraceHandle,
@@ -199,7 +202,7 @@ fn run_topology(
         SystemTopology::FlumenA => ExecMode::Offload,
         _ => ExecMode::Local,
     };
-    let tasks = taskgen::generate(bench, &cfg.system, mode, &cfg.taskgen);
+    let tasks = taskgen::generate_plan(plan, &cfg.system, mode, &cfg.taskgen);
 
     let chiplets = cfg.system.chiplets;
     let crossbar = || MzimCrossbar::new(chiplets, CrossbarConfig::default()).expect("crossbar");
@@ -235,11 +238,11 @@ fn run_topology(
         }
     };
 
-    finish_result(bench, topology, cfg, r)
+    finish_result(plan.name, topology, cfg, r)
 }
 
 fn finish_result(
-    bench: &dyn Benchmark,
+    benchmark: &str,
     topology: SystemTopology,
     cfg: &RuntimeConfig,
     r: RunResult,
@@ -255,7 +258,7 @@ fn finish_result(
     );
     FullRunResult {
         topology,
-        benchmark: bench.name().to_string(),
+        benchmark: benchmark.to_string(),
         cycles: r.cycles,
         seconds,
         truncated: r.truncated,
@@ -296,7 +299,7 @@ pub fn run_utilization_trace(
         &TraceHandle::disabled(),
         None,
     );
-    finish_result(bench, SystemTopology::FlumenI, &cfg, r)
+    finish_result(bench.name(), SystemTopology::FlumenI, &cfg, r)
 }
 
 /// Where and how often a checkpointed run snapshots itself.
@@ -331,7 +334,7 @@ pub fn run_benchmark_checkpointed(
     policy: &CheckpointPolicy,
     tracer: TraceHandle,
 ) -> FullRunResult {
-    run_topology(bench, topology, cfg, &tracer, Some(policy))
+    run_benchmark_plan(&bench.plan(), topology, cfg, &tracer, Some(policy))
 }
 
 /// Runs one system simulation. `net` and `server` build the components;

@@ -16,7 +16,7 @@ use crate::scenario::ScenarioSpec;
 use crate::ServeConfig;
 use flumen_sim::{Cycles, EventQueue, Json, ToJson};
 use flumen_sweep::hash::sha256_hex;
-use flumen_sweep::{precompile_plan, CheckpointStore, PrecompileReport, ProgramStore};
+use flumen_sweep::{precompile_plan, CheckpointStore, JobSpec, PrecompileReport, ProgramStore};
 use flumen_trace::{EventKind, Histogram, TraceCategory, TraceEvent, TraceHandle};
 
 /// What the engine schedules on the sim event queue.
@@ -166,6 +166,44 @@ pub fn prepopulate_program_store(
     report
 }
 
+/// Groups requests by payload content hash: each request's slot in the
+/// returned `(hash, request count)` list, which is in first-seen order.
+///
+/// Hashing a spec (canonical JSON plus SHA-256) costs microseconds, and a
+/// scenario repeats a handful of specs across thousands of requests, so
+/// each distinct spec is hashed once: a request whose spec is `==` to one
+/// already seen reuses its slot. `==` specs serialize identically (the
+/// canonical form prints `0.0` and `-0.0` alike), and a spec holding a
+/// NaN equals nothing, so it is hashed afresh and lands in the slot its
+/// hash names.
+fn payload_batches(requests: &[Request]) -> (Vec<usize>, Vec<(String, u64)>) {
+    let mut seen: Vec<(&JobSpec, usize)> = Vec::new();
+    let mut batch: Vec<(String, u64)> = Vec::new();
+    let slots = requests
+        .iter()
+        .map(|r| {
+            let slot = match seen.iter().find(|(spec, _)| **spec == r.job) {
+                Some(&(_, slot)) => slot,
+                None => {
+                    let h = r.job.content_hash();
+                    let slot = match batch.iter().position(|(k, _)| *k == h) {
+                        Some(slot) => slot,
+                        None => {
+                            batch.push((h, 0));
+                            batch.len() - 1
+                        }
+                    };
+                    seen.push((&r.job, slot));
+                    slot
+                }
+            };
+            batch[slot].1 += 1;
+            slot
+        })
+        .collect();
+    (slots, batch)
+}
+
 /// Drives the queueing simulation over a pre-generated request trace and
 /// a pre-executed payload table.
 ///
@@ -184,13 +222,19 @@ pub fn serve_requests(
     // Resolve every request's payload up front: an unknown payload is a
     // harness bug surfaced before simulated time starts, and the hot
     // loop below then runs lookup-free.
+    let (slots, batch) = payload_batches(requests);
+    let resolved: Vec<Option<&crate::exec::Payload>> =
+        batch.iter().map(|(h, _)| table.get(h)).collect();
     let payloads: Vec<&crate::exec::Payload> = requests
         .iter()
-        .map(|r| {
-            let h = r.job.content_hash();
-            table
-                .get(&h)
-                .ok_or_else(|| ServeError(format!("request {} payload {h} not executed", r.id)))
+        .zip(&slots)
+        .map(|(r, &slot)| {
+            resolved[slot].ok_or_else(|| {
+                ServeError(format!(
+                    "request {} payload {} not executed",
+                    r.id, batch[slot].0
+                ))
+            })
         })
         .collect::<Result<_, _>>()?;
 
@@ -198,22 +242,12 @@ pub fn serve_requests(
     // share one execution (one "mesh programming"), so each distinct
     // payload serves a batch of `k` requests. Emitted once per distinct
     // payload, in first-seen request order, before simulated time starts.
-    {
-        let mut batch: Vec<(String, u64)> = Vec::new();
-        for r in requests {
-            let h = r.job.content_hash();
-            match batch.iter_mut().find(|(k, _)| *k == h) {
-                Some((_, count)) => *count += 1,
-                None => batch.push((h, 1)),
-            }
-        }
-        for (i, (_, count)) in batch.iter().enumerate() {
-            trace.emit(|| {
-                TraceEvent::instant(TraceCategory::Serve, "serve::batch", 0, 0)
-                    .with_id(i as u64)
-                    .with_arg("requests", *count as f64)
-            });
-        }
+    for (i, (_, count)) in batch.iter().enumerate() {
+        trace.emit(|| {
+            TraceEvent::instant(TraceCategory::Serve, "serve::batch", 0, 0)
+                .with_id(i as u64)
+                .with_arg("requests", *count as f64)
+        });
     }
 
     let mut events: EventQueue<ServeEvent> = EventQueue::new();
@@ -450,4 +484,53 @@ pub fn serve_requests(
         drained,
         records,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flumen_noc::harness::RunConfig;
+    use flumen_noc::traffic::TrafficPattern;
+    use flumen_sweep::NetSpec;
+
+    fn request(id: u64, load: f64) -> Request {
+        Request {
+            id,
+            client: 0,
+            arrival: Cycles::new(id),
+            job: JobSpec::NocPoint {
+                net: NetSpec::Ring { nodes: 8 },
+                pattern: TrafficPattern::UniformRandom,
+                load,
+                cfg: RunConfig::default(),
+            },
+        }
+    }
+
+    #[test]
+    fn payload_batches_hash_each_spec_once_and_group_by_hash() {
+        let loads = [0.0, -0.0, f64::NAN, 0.25, f64::NAN, 0.0, 0.25, -0.0];
+        let reqs: Vec<Request> = (0..).zip(loads).map(|(i, l)| request(i, l)).collect();
+        // `0.0 == -0.0`, and the canonical form prints both as `0`.
+        assert_eq!(reqs[0].job, reqs[1].job);
+        assert_eq!(reqs[0].job.content_hash(), reqs[1].job.content_hash());
+        // A NaN spec equals nothing, not even itself, yet hashes alike.
+        assert_ne!(reqs[2].job, reqs[2].job);
+        assert_eq!(reqs[2].job.content_hash(), reqs[4].job.content_hash());
+
+        let (slots, batch) = payload_batches(&reqs);
+        assert_eq!(slots, [0, 0, 1, 2, 1, 0, 2, 0]);
+
+        // The same grouping as hashing every request.
+        let mut want: Vec<(String, u64)> = Vec::new();
+        for (r, &slot) in reqs.iter().zip(&slots) {
+            let h = r.job.content_hash();
+            assert_eq!(batch[slot].0, h);
+            match want.iter_mut().find(|(k, _)| *k == h) {
+                Some((_, n)) => *n += 1,
+                None => want.push((h, 1)),
+            }
+        }
+        assert_eq!(batch, want);
+    }
 }

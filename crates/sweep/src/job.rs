@@ -11,16 +11,16 @@
 use crate::checkpoint::CheckpointStore;
 use crate::hash::sha256_hex;
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use flumen::{
-    run_benchmark, run_benchmark_checkpointed, FullRunResult, RuntimeConfig, SystemTopology,
-};
+use flumen::{run_benchmark_plan, FullRunResult, RuntimeConfig, SystemTopology};
 use flumen_noc::harness::{measure_point, LatencyPoint, RunConfig};
 use flumen_noc::traffic::TrafficPattern;
 use flumen_noc::{
     torus, BusConfig, CrossbarConfig, MzimCrossbar, NetStats, Network, OpticalBus, RoutedConfig,
     RoutedNetwork, RoutedTopology,
 };
-use flumen_workloads::{Benchmark, ImageBlur, Jpeg, ResnetConv3, Rotation3d, Vgg16Fc};
+use flumen_workloads::{
+    Benchmark, ImageBlur, Jpeg, ResnetConv3, Rotation3d, Vgg16Fc, WorkloadPlan,
+};
 
 /// Version salt mixed into every job hash. Bump this whenever simulator
 /// *code* changes in a result-affecting way that the serialized parameters
@@ -54,8 +54,9 @@ pub enum BenchSize {
 /// A benchmark choice that can be serialized and instantiated on demand.
 ///
 /// Workload structs hold their input tensors, so the spec stores only the
-/// (kind, size) pair and materializes the data inside whichever worker
-/// thread runs the job.
+/// (kind, size) pair. A full-system run needs only the data-free
+/// [`plan`](Self::plan); [`instantiate`](Self::instantiate) materializes
+/// the data for the numerical paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchSpec {
     /// Kernel.
@@ -87,6 +88,23 @@ impl BenchSpec {
             BenchKind::ResnetConv3 => "resnet50_conv3",
             BenchKind::Jpeg => "jpeg",
             BenchKind::Rotation3d => "rotation_3d",
+        }
+    }
+
+    /// The workload's shapes, without generating any data: equal to
+    /// `self.instantiate().plan()`.
+    pub fn plan(&self) -> WorkloadPlan {
+        match (self.kind, self.size) {
+            (BenchKind::ImageBlur, BenchSize::Paper) => ImageBlur::plan(256, 256),
+            (BenchKind::ImageBlur, BenchSize::Small) => ImageBlur::plan(16, 16),
+            (BenchKind::Vgg16Fc, BenchSize::Paper) => Vgg16Fc::plan(1000, 4096, 1),
+            (BenchKind::Vgg16Fc, BenchSize::Small) => Vgg16Fc::plan(10, 32, 1),
+            (BenchKind::ResnetConv3, BenchSize::Paper) => ResnetConv3::plan(56, 56, 64),
+            (BenchKind::ResnetConv3, BenchSize::Small) => ResnetConv3::plan(8, 8, 4),
+            (BenchKind::Jpeg, BenchSize::Paper) => Jpeg::plan(256, 384),
+            (BenchKind::Jpeg, BenchSize::Small) => Jpeg::plan(16, 24),
+            (BenchKind::Rotation3d, BenchSize::Paper) => Rotation3d::plan(306, 0x3D),
+            (BenchKind::Rotation3d, BenchSize::Small) => Rotation3d::plan(24, 0x3D),
         }
     }
 
@@ -280,8 +298,9 @@ impl FromJson for NetSpec {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
-    /// A full-system benchmark run (`flumen::run_benchmark`) — the unit
-    /// behind Figs. 13–15 and the system-level ablations.
+    /// A full-system benchmark run (`flumen::run_benchmark_plan` on the
+    /// bench's data-free plan) — the unit behind Figs. 13–15 and the
+    /// system-level ablations.
     FullRun {
         /// Workload.
         bench: BenchSpec,
@@ -372,21 +391,14 @@ impl JobSpec {
                 topology,
                 cfg,
             } => {
-                let workload = bench.instantiate();
-                let r = match store {
-                    Some(store) => {
-                        let policy = store.policy_for(&self.content_hash());
-                        run_benchmark_checkpointed(
-                            workload.as_ref(),
-                            *topology,
-                            cfg,
-                            &policy,
-                            flumen_trace::TraceHandle::disabled(),
-                        )
-                    }
-                    None => run_benchmark(workload.as_ref(), *topology, cfg),
-                };
-                JobResult::FullRun(r)
+                let policy = store.map(|s| s.policy_for(&self.content_hash()));
+                JobResult::FullRun(run_benchmark_plan(
+                    &bench.plan(),
+                    *topology,
+                    cfg,
+                    &flumen_trace::TraceHandle::disabled(),
+                    policy.as_ref(),
+                ))
             }
             JobSpec::NocPoint {
                 net,
@@ -676,6 +688,17 @@ mod tests {
         assert_eq!(specs.len(), 5);
         for s in &specs {
             assert_eq!(s.instantiate().name(), s.name());
+        }
+    }
+
+    #[test]
+    fn data_free_plans_equal_the_instantiated_benchmarks_plans() {
+        for size in [BenchSize::Small, BenchSize::Paper] {
+            for spec in BenchSpec::all(size) {
+                let plan = spec.plan();
+                assert_eq!(plan, spec.instantiate().plan(), "{spec:?}");
+                assert_eq!(plan.name, spec.name());
+            }
         }
     }
 

@@ -7,8 +7,10 @@
 //! matrix and H·W patch vectors.
 
 use crate::data::Image;
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{Benchmark, JobShape, MvmJob, WorkloadPlan};
 use flumen_linalg::RMat;
+
+const NAME: &str = "image_blur";
 
 /// The 3×3 Gaussian blur kernel, normalized.
 pub const GAUSSIAN_3X3: [f64; 9] = [
@@ -29,6 +31,7 @@ pub struct ImageBlur {
     image: Image,
     jobs: Vec<MvmJob>,
     golden: Vec<f64>, // H×W×C blurred output
+    epilogue_ops: u64,
 }
 
 impl ImageBlur {
@@ -42,15 +45,42 @@ impl ImageBlur {
         Self::with_size(16, 16, 0xB10B)
     }
 
+    /// The shapes of an `h×w` RGB blur: one 1×9 kernel job per channel
+    /// with one patch vector per pixel.
+    pub fn plan(h: usize, w: usize) -> WorkloadPlan {
+        let hw = h * w;
+        let jobs = (0..3)
+            .map(|c| JobShape {
+                id: c,
+                wave: 0,
+                rows: 1,
+                cols: 9,
+                vectors: hw,
+                weight_base: 0x1000_0000,
+                input_base: 0x2000_0000 + (c * hw * 16) as u64,
+                output_base: 0x3000_0000 + (c * hw * 4) as u64,
+                orthogonal: false,
+            })
+            .collect();
+        WorkloadPlan {
+            name: NAME,
+            // Clamp + store per output pixel.
+            epilogue_ops: (hw * 3) as u64,
+            jobs,
+        }
+    }
+
     /// Builds the benchmark for an `h×w` RGB image.
     pub fn with_size(h: usize, w: usize, seed: u64) -> Self {
+        let plan = Self::plan(h, w);
         let image = Image::synthetic(h, w, 3, seed);
         let kernel = RMat::from_rows(1, 9, GAUSSIAN_3X3.to_vec()).expect("9 weights");
 
         let mut golden = vec![0.0; h * w * 3];
-        let mut jobs = Vec::with_capacity(3);
-        for c in 0..3 {
-            let mut vectors = Vec::with_capacity(h * w);
+        let mut jobs = Vec::with_capacity(plan.jobs.len());
+        for shape in &plan.jobs {
+            let c = shape.id;
+            let mut vectors = Vec::with_capacity(shape.vectors);
             for y in 0..h {
                 for x in 0..w {
                     // Raveled 3×3 receptive field, zero padded.
@@ -67,20 +97,13 @@ impl ImageBlur {
                     vectors.push(patch);
                 }
             }
-            jobs.push(MvmJob {
-                id: c,
-                wave: 0,
-                matrix: kernel.clone(),
-                vectors,
-                weight_base: 0x1000_0000,
-                input_base: 0x2000_0000 + (c * h * w * 16) as u64,
-                output_base: 0x3000_0000 + (c * h * w * 4) as u64,
-            });
+            jobs.push(shape.with_data(kernel.clone(), vectors));
         }
         ImageBlur {
             image,
             jobs,
             golden,
+            epilogue_ops: plan.epilogue_ops,
         }
     }
 
@@ -97,7 +120,7 @@ impl ImageBlur {
 
 impl Benchmark for ImageBlur {
     fn name(&self) -> &'static str {
-        "image_blur"
+        NAME
     }
 
     fn jobs(&self) -> &[MvmJob] {
@@ -105,8 +128,7 @@ impl Benchmark for ImageBlur {
     }
 
     fn epilogue_ops(&self) -> u64 {
-        // Clamp + store per output pixel.
-        self.golden.len() as u64
+        self.epilogue_ops
     }
 
     fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
@@ -185,6 +207,6 @@ mod tests {
         // 1×9 kernel on a 4-input partition: 1 row-strip × 3 column blocks
         // → partial sums required (paper: blur accumulates partials).
         let b = ImageBlur::small();
-        assert!(b.jobs()[0].partial_sum_adds(4) > 0);
+        assert!(b.jobs()[0].shape().partial_sum_adds(4) > 0);
     }
 }

@@ -11,8 +11,14 @@
 //! exercising the same im2col-to-MZIM lowering (Fig. 7).
 
 use crate::data::{synthetic_weights, Image};
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{Benchmark, JobShape, MvmJob, WorkloadPlan};
 use flumen_linalg::RMat;
+
+const NAME: &str = "resnet50_conv3";
+/// Kernels per group.
+const KERNELS: usize = 2;
+/// Patch length: 3×3 × 2 channels.
+const PATCH: usize = 9 * 2;
 
 /// The grouped ResNet50 Conv3 benchmark.
 #[derive(Debug)]
@@ -22,6 +28,7 @@ pub struct ResnetConv3 {
     groups: usize,
     jobs: Vec<MvmJob>,
     golden: Vec<f64>, // groups × 2 kernels × h × w
+    epilogue_ops: u64,
 }
 
 impl ResnetConv3 {
@@ -35,25 +42,48 @@ impl ResnetConv3 {
         Self::with_size(8, 8, 4, 0xC3)
     }
 
+    /// The shapes of the layer: one 2×18 kernel job per group with one
+    /// patch vector per output pixel.
+    pub fn plan(h: usize, w: usize, groups: usize) -> WorkloadPlan {
+        let hw = h * w;
+        let jobs = (0..groups)
+            .map(|g| JobShape {
+                id: g,
+                wave: 0,
+                rows: KERNELS,
+                cols: PATCH,
+                vectors: hw,
+                weight_base: 0x1000_0000 + (g * 1024) as u64,
+                input_base: 0x2000_0000 + (g * hw * 32) as u64,
+                output_base: 0x3000_0000 + (g * hw * 16) as u64,
+                orthogonal: false,
+            })
+            .collect();
+        WorkloadPlan {
+            name: NAME,
+            // ReLU + store per output activation.
+            epilogue_ops: (groups * KERNELS * hw) as u64,
+            jobs,
+        }
+    }
+
     /// Builds the layer: `groups` groups of (2 kernels × 2 channels),
     /// same-padded 3×3 convolution over an `h×w` spatial extent.
     pub fn with_size(h: usize, w: usize, groups: usize, seed: u64) -> Self {
-        let channels = groups * 2;
-        let input = Image::synthetic(h, w, channels, seed);
-        let kernels_per_group = 2usize;
-        let patch_len = 9 * 2; // 3×3 × 2 channels
+        let plan = Self::plan(h, w, groups);
+        let input = Image::synthetic(h, w, groups * 2, seed);
 
         let mut jobs = Vec::with_capacity(groups);
-        let mut golden = vec![0.0; groups * kernels_per_group * h * w];
-        let mut out = vec![0.0; kernels_per_group];
-        for g in 0..groups {
-            let weights =
-                synthetic_weights(kernels_per_group * patch_len, 0.3, seed ^ (g as u64 + 1));
-            let kmat = RMat::from_rows(kernels_per_group, patch_len, weights).expect("sized");
-            let mut vectors = Vec::with_capacity(h * w);
+        let mut golden = vec![0.0; groups * KERNELS * h * w];
+        let mut out = vec![0.0; KERNELS];
+        for shape in &plan.jobs {
+            let g = shape.id;
+            let weights = synthetic_weights(KERNELS * PATCH, 0.3, seed ^ (g as u64 + 1));
+            let kmat = RMat::from_rows(KERNELS, PATCH, weights).expect("sized");
+            let mut vectors = Vec::with_capacity(shape.vectors);
             for y in 0..h {
                 for x in 0..w {
-                    let mut patch = Vec::with_capacity(patch_len);
+                    let mut patch = Vec::with_capacity(PATCH);
                     for ch in 0..2 {
                         let c = g * 2 + ch;
                         for ky in -1isize..=1 {
@@ -64,20 +94,12 @@ impl ResnetConv3 {
                     }
                     kmat.mul_vec_into(&patch, &mut out);
                     for (k, v) in out.iter().enumerate() {
-                        golden[((g * kernels_per_group + k) * h + y) * w + x] = *v;
+                        golden[((g * KERNELS + k) * h + y) * w + x] = *v;
                     }
                     vectors.push(patch);
                 }
             }
-            jobs.push(MvmJob {
-                id: g,
-                wave: 0,
-                matrix: kmat,
-                vectors,
-                weight_base: 0x1000_0000 + (g * 1024) as u64,
-                input_base: 0x2000_0000 + (g * h * w * 32) as u64,
-                output_base: 0x3000_0000 + (g * h * w * 16) as u64,
-            });
+            jobs.push(shape.with_data(kmat, vectors));
         }
         ResnetConv3 {
             h,
@@ -85,6 +107,7 @@ impl ResnetConv3 {
             groups,
             jobs,
             golden,
+            epilogue_ops: plan.epilogue_ops,
         }
     }
 
@@ -96,7 +119,7 @@ impl ResnetConv3 {
 
 impl Benchmark for ResnetConv3 {
     fn name(&self) -> &'static str {
-        "resnet50_conv3"
+        NAME
     }
 
     fn jobs(&self) -> &[MvmJob] {
@@ -104,8 +127,7 @@ impl Benchmark for ResnetConv3 {
     }
 
     fn epilogue_ops(&self) -> u64 {
-        // ReLU + store per output activation.
-        self.golden.len() as u64
+        self.epilogue_ops
     }
 
     fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {

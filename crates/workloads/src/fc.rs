@@ -3,10 +3,12 @@
 //! activation vector plus bias, ≈4.1 M MACs.
 
 use crate::data::{quantize_u8, synthetic_weights};
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{Benchmark, JobShape, MvmJob, WorkloadPlan};
 use flumen_linalg::RMat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const NAME: &str = "vgg16_fc";
 
 /// The VGG16 FC-1000 benchmark.
 #[derive(Debug)]
@@ -14,6 +16,7 @@ pub struct Vgg16Fc {
     job: [MvmJob; 1],
     bias: Vec<f64>,
     golden: Vec<f64>,
+    epilogue_ops: u64,
 }
 
 impl Vgg16Fc {
@@ -32,6 +35,39 @@ impl Vgg16Fc {
         Self::with_batch(out_dim, in_dim, 1, seed)
     }
 
+    /// The shape of an `out_dim × in_dim` FC layer over `batch` inputs.
+    ///
+    /// The weights are taken as not orthogonal, so a square layer never
+    /// takes a unitary partition. Every weight is 8-bit quantized with
+    /// `|w| ≤ 0.25`: below 16 inputs no column can reach unit norm, and
+    /// beyond that each column would need its quantized levels `q` to
+    /// give `Σq² = 16·127²` exactly, with every pair of columns exactly
+    /// orthogonal, which seeded random weights do not produce. Debug
+    /// builds check every instantiated layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0`.
+    pub fn plan(out_dim: usize, in_dim: usize, batch: usize) -> WorkloadPlan {
+        assert!(batch > 0, "batch must be positive");
+        WorkloadPlan {
+            name: NAME,
+            // Bias add per output.
+            epilogue_ops: out_dim as u64,
+            jobs: vec![JobShape {
+                id: 0,
+                wave: 0,
+                rows: out_dim,
+                cols: in_dim,
+                vectors: batch,
+                weight_base: 0x1000_0000,
+                input_base: 0x2000_0000,
+                output_base: 0x3000_0000,
+                orthogonal: false,
+            }],
+        }
+    }
+
     /// **Extension (beyond the paper):** a batched FC layer. The paper
     /// identifies VGG16-FC as Flumen's weakest benchmark *because* batch-1
     /// inference reuses each weight block exactly once; batching restores
@@ -42,7 +78,7 @@ impl Vgg16Fc {
     ///
     /// Panics if `batch == 0`.
     pub fn with_batch(out_dim: usize, in_dim: usize, batch: usize, seed: u64) -> Self {
-        assert!(batch > 0, "batch must be positive");
+        let plan = Self::plan(out_dim, in_dim, batch);
         let weights = synthetic_weights(out_dim * in_dim, 0.25, seed);
         let matrix = RMat::from_rows(out_dim, in_dim, weights).expect("sized");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
@@ -62,19 +98,11 @@ impl Vgg16Fc {
             .zip(bias.iter())
             .map(|(v, b)| v + b)
             .collect();
-        let job = MvmJob {
-            id: 0,
-            wave: 0,
-            matrix,
-            vectors,
-            weight_base: 0x1000_0000,
-            input_base: 0x2000_0000,
-            output_base: 0x3000_0000,
-        };
         Vgg16Fc {
-            job: [job],
+            job: [plan.jobs[0].with_data(matrix, vectors)],
             bias,
             golden,
+            epilogue_ops: plan.epilogue_ops,
         }
     }
 
@@ -91,7 +119,7 @@ impl Vgg16Fc {
 
 impl Benchmark for Vgg16Fc {
     fn name(&self) -> &'static str {
-        "vgg16_fc"
+        NAME
     }
 
     fn jobs(&self) -> &[MvmJob] {
@@ -99,8 +127,7 @@ impl Benchmark for Vgg16Fc {
     }
 
     fn epilogue_ops(&self) -> u64 {
-        // Bias add per output.
-        self.bias.len() as u64
+        self.epilogue_ops
     }
 
     fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
@@ -163,9 +190,10 @@ mod tests {
     fn heavy_partial_sums_on_small_fabric() {
         let b = Vgg16Fc::paper();
         // 4096 columns / 4 = 1024 block columns → deep accumulation.
-        let (br, bc) = b.jobs()[0].block_grid(4);
+        let shape = b.jobs()[0].shape();
+        let (br, bc) = shape.block_grid(4);
         assert_eq!(br, 250);
         assert_eq!(bc, 1024);
-        assert!(b.jobs()[0].partial_sum_adds(4) > 1_000_000);
+        assert!(shape.partial_sum_adds(4) > 1_000_000);
     }
 }

@@ -8,8 +8,10 @@
 //! the second pass depends on the first, giving a two-wave job graph.
 
 use crate::data::Image;
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{is_orthogonal, Benchmark, JobShape, MvmJob, WorkloadPlan};
 use flumen_linalg::RMat;
+
+const NAME: &str = "jpeg";
 
 /// Builds the orthonormal 8×8 DCT-II matrix.
 pub fn dct8_matrix() -> RMat {
@@ -31,6 +33,7 @@ pub struct Jpeg {
     jobs: Vec<MvmJob>,
     /// Golden DCT coefficients per block (row-major 8×8 each).
     golden: Vec<Vec<f64>>,
+    epilogue_ops: u64,
 }
 
 impl Jpeg {
@@ -44,16 +47,50 @@ impl Jpeg {
         Self::with_size(16, 24, 0x77E6)
     }
 
+    /// The shapes of an `h×w` image's two DCT passes: the 8×8 DCT matrix
+    /// times eight vectors per block in each wave, the second pass reading
+    /// the first's outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `h` and `w` are multiples of 8.
+    pub fn plan(h: usize, w: usize) -> WorkloadPlan {
+        assert!(
+            h.is_multiple_of(8) && w.is_multiple_of(8),
+            "JPEG needs 8-aligned dimensions"
+        );
+        let blocks = (h / 8) * (w / 8);
+        let orthogonal = is_orthogonal(&dct8_matrix());
+        let pass = |id: usize, input_base: u64, output_base: u64| JobShape {
+            id,
+            wave: id,
+            rows: 8,
+            cols: 8,
+            vectors: blocks * 8,
+            weight_base: 0x1000_0000,
+            input_base,
+            output_base,
+            orthogonal,
+        };
+        WorkloadPlan {
+            name: NAME,
+            // Quantization (divide+round), zigzag and RLE per coefficient.
+            epilogue_ops: (blocks * 64 * 5) as u64,
+            jobs: vec![
+                pass(0, 0x2000_0000, 0x3000_0000),
+                // Wave 1 consumes wave-0 outputs.
+                pass(1, 0x3000_0000, 0x4000_0000),
+            ],
+        }
+    }
+
     /// Builds the benchmark for an `h×w` image (both multiples of 8).
     ///
     /// # Panics
     ///
     /// Panics unless `h` and `w` are multiples of 8.
     pub fn with_size(h: usize, w: usize, seed: u64) -> Self {
-        assert!(
-            h.is_multiple_of(8) && w.is_multiple_of(8),
-            "JPEG needs 8-aligned dimensions"
-        );
+        let plan = Self::plan(h, w);
         let image = Image::synthetic(h, w, 1, seed);
         let d = dct8_matrix();
         let blocks_y = h / 8;
@@ -84,29 +121,14 @@ impl Jpeg {
         }
 
         let jobs = vec![
-            MvmJob {
-                id: 0,
-                wave: 0,
-                matrix: d.clone(),
-                vectors: wave0_vectors,
-                weight_base: 0x1000_0000,
-                input_base: 0x2000_0000,
-                output_base: 0x3000_0000,
-            },
-            MvmJob {
-                id: 1,
-                wave: 1,
-                matrix: d,
-                vectors: wave1_vectors,
-                weight_base: 0x1000_0000,
-                input_base: 0x3000_0000, // consumes wave-0 outputs
-                output_base: 0x4000_0000,
-            },
+            plan.jobs[0].with_data(d.clone(), wave0_vectors),
+            plan.jobs[1].with_data(d, wave1_vectors),
         ];
         Jpeg {
             blocks,
             jobs,
             golden,
+            epilogue_ops: plan.epilogue_ops,
         }
     }
 
@@ -123,7 +145,7 @@ impl Jpeg {
 
 impl Benchmark for Jpeg {
     fn name(&self) -> &'static str {
-        "jpeg"
+        NAME
     }
 
     fn jobs(&self) -> &[MvmJob] {
@@ -131,8 +153,7 @@ impl Benchmark for Jpeg {
     }
 
     fn epilogue_ops(&self) -> u64 {
-        // Quantization (divide+round), zigzag and RLE per coefficient.
-        (self.blocks * 64 * 5) as u64
+        self.epilogue_ops
     }
 
     fn verify(&self, results: &[Vec<Vec<f64>>], tol: f64) -> bool {
@@ -208,6 +229,6 @@ mod tests {
         assert_eq!(j.jobs()[0].wave, 0);
         assert_eq!(j.jobs()[1].wave, 1);
         // No partial sums: 8×8 fits the 8-input fabric exactly.
-        assert_eq!(j.jobs()[0].partial_sum_adds(8), 0);
+        assert_eq!(j.jobs()[0].shape().partial_sum_adds(8), 0);
     }
 }

@@ -5,7 +5,9 @@
 //!
 //! * a **golden** scalar implementation (exact math on synthetic data),
 //! * a decomposition into offloadable [`MvmJob`]s (matrix × vectors, the
-//!   paper's §3.3 computation mapping), and
+//!   paper's §3.3 computation mapping),
+//! * a data-free shape function (e.g. [`Vgg16Fc::plan`]) giving the same
+//!   jobs as a [`WorkloadPlan`], which is all a full-system run reads, and
 //! * task-graph generation ([`taskgen`]) for the system simulator, in
 //!   local (cores-only) and offload (MZIM) flavours.
 //!
@@ -36,7 +38,7 @@ pub use blur::{ImageBlur, GAUSSIAN_3X3};
 pub use conv::ResnetConv3;
 pub use data::{quantize_i8, quantize_u8, synthetic_weights, Image};
 pub use fc::Vgg16Fc;
-pub use jobs::{results_match_golden, Benchmark, MvmJob};
+pub use jobs::{results_match_golden, Benchmark, JobShape, MvmJob, WorkloadPlan};
 pub use jpeg::{dct8_matrix, Jpeg};
 pub use rotation::Rotation3d;
 

@@ -5,10 +5,12 @@
 //! partial-sum accumulation at the cores (paper §5.4.1 credits this for
 //! the benchmark's best-in-class energy reduction).
 
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{is_orthogonal, Benchmark, JobShape, MvmJob, WorkloadPlan};
 use flumen_linalg::RMat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const NAME: &str = "rotation_3d";
 
 /// The 3D rotation benchmark.
 #[derive(Debug)]
@@ -28,22 +30,33 @@ impl Rotation3d {
         Self::with_vertices(24, 0x3D)
     }
 
+    /// The shape of `count` vertices through the seeded transform: one
+    /// 4×4 job. The transform itself (16 numbers) is built to test its
+    /// orthogonality.
+    pub fn plan(count: usize, seed: u64) -> WorkloadPlan {
+        let m = transform(&mut StdRng::seed_from_u64(seed));
+        WorkloadPlan {
+            name: NAME,
+            epilogue_ops: 0,
+            jobs: vec![JobShape {
+                id: 0,
+                wave: 0,
+                rows: 4,
+                cols: 4,
+                vectors: count,
+                weight_base: 0x1000_0000,
+                input_base: 0x2000_0000,
+                output_base: 0x3000_0000,
+                orthogonal: is_orthogonal(&m),
+            }],
+        }
+    }
+
     /// Builds the benchmark with a seeded wireframe and transform.
     pub fn with_vertices(count: usize, seed: u64) -> Self {
+        let plan = Self::plan(count, seed);
         let mut rng = StdRng::seed_from_u64(seed);
-        // Rotation about an arbitrary axis plus a small translation.
-        let (ax, ay, az) = random_unit_axis(&mut rng);
-        let angle: f64 = rng.gen_range(0.1..1.5);
-        let (s, c) = angle.sin_cos();
-        let t = 1.0 - c;
-        #[rustfmt::skip]
-        let m = RMat::from_rows(4, 4, vec![
-            t*ax*ax + c,      t*ax*ay - s*az, t*ax*az + s*ay, rng.gen_range(-0.5..0.5),
-            t*ax*ay + s*az,   t*ay*ay + c,    t*ay*az - s*ax, rng.gen_range(-0.5..0.5),
-            t*ax*az - s*ay,   t*ay*az + s*ax, t*az*az + c,    rng.gen_range(-0.5..0.5),
-            0.0,              0.0,            0.0,            1.0,
-        ]).expect("16 entries");
-
+        let m = transform(&mut rng);
         let vectors: Vec<Vec<f64>> = (0..count)
             .map(|_| {
                 vec![
@@ -55,22 +68,33 @@ impl Rotation3d {
             })
             .collect();
         let golden: Vec<Vec<f64>> = vectors.iter().map(|v| m.mul_vec(v)).collect();
-        let job = MvmJob {
-            id: 0,
-            wave: 0,
-            matrix: m,
-            vectors,
-            weight_base: 0x1000_0000,
-            input_base: 0x2000_0000,
-            output_base: 0x3000_0000,
-        };
-        Rotation3d { job: [job], golden }
+        Rotation3d {
+            job: [plan.jobs[0].with_data(m, vectors)],
+            golden,
+        }
     }
 
     /// Transformed vertices.
     pub fn golden_vertices(&self) -> &[Vec<f64>] {
         &self.golden
     }
+}
+
+/// The homogeneous transform drawn first from `rng`: a rotation about an
+/// arbitrary axis plus a small translation.
+fn transform(rng: &mut StdRng) -> RMat {
+    let (ax, ay, az) = random_unit_axis(rng);
+    let angle: f64 = rng.gen_range(0.1..1.5);
+    let (s, c) = angle.sin_cos();
+    let t = 1.0 - c;
+    #[rustfmt::skip]
+    let entries = vec![
+        t*ax*ax + c,      t*ax*ay - s*az, t*ax*az + s*ay, rng.gen_range(-0.5..0.5),
+        t*ax*ay + s*az,   t*ay*ay + c,    t*ay*az - s*ax, rng.gen_range(-0.5..0.5),
+        t*ax*az - s*ay,   t*ay*az + s*ax, t*az*az + c,    rng.gen_range(-0.5..0.5),
+        0.0,              0.0,            0.0,            1.0,
+    ];
+    RMat::from_rows(4, 4, entries).expect("16 entries")
 }
 
 fn random_unit_axis(rng: &mut StdRng) -> (f64, f64, f64) {
@@ -89,7 +113,7 @@ fn random_unit_axis(rng: &mut StdRng) -> (f64, f64, f64) {
 
 impl Benchmark for Rotation3d {
     fn name(&self) -> &'static str {
-        "rotation_3d"
+        NAME
     }
 
     fn jobs(&self) -> &[MvmJob] {
@@ -143,8 +167,9 @@ mod tests {
         // 4×4 matrix in a 4-input partition: single block — the property
         // the paper credits for the benchmark's top energy reduction.
         let b = Rotation3d::paper();
-        assert_eq!(b.jobs()[0].partial_sum_adds(4), 0);
-        assert_eq!(b.jobs()[0].block_grid(4), (1, 1));
+        let shape = b.jobs()[0].shape();
+        assert_eq!(shape.partial_sum_adds(4), 0);
+        assert_eq!(shape.block_grid(4), (1, 1));
     }
 
     #[test]

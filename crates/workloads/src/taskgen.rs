@@ -1,4 +1,5 @@
-//! Compiles benchmarks into per-core task graphs.
+//! Compiles workload plans into per-core task graphs. Only a plan's job
+//! shapes are read, so a benchmark's data is never needed here.
 //!
 //! Two execution modes:
 //!
@@ -13,7 +14,7 @@
 //!   inputs (they modulate them), accumulate partial sums, and write
 //!   outputs.
 
-use crate::jobs::{Benchmark, MvmJob};
+use crate::jobs::{Benchmark, JobShape, WorkloadPlan};
 use flumen_system::{CoreTask, SystemConfig};
 
 /// How the benchmark executes.
@@ -85,9 +86,20 @@ fn strip_key(weight_base: u64, row_lo: usize, n: usize) -> u64 {
         .max(1)
 }
 
-/// Generates the per-core task queues for a benchmark.
+/// Generates the per-core task queues for a benchmark: the queues of its
+/// [`Benchmark::plan`].
 pub fn generate(
     bench: &dyn Benchmark,
+    sys: &SystemConfig,
+    mode: ExecMode,
+    cfg: &TaskGenConfig,
+) -> Vec<Vec<CoreTask>> {
+    generate_plan(&bench.plan(), sys, mode, cfg)
+}
+
+/// Generates the per-core task queues for a workload plan.
+pub fn generate_plan(
+    plan: &WorkloadPlan,
     sys: &SystemConfig,
     mode: ExecMode,
     cfg: &TaskGenConfig,
@@ -96,10 +108,10 @@ pub fn generate(
     let mut next_core = 0usize;
     let mut barrier_id = 1u32;
 
-    let max_wave = bench.jobs().iter().map(|j| j.wave).max().unwrap_or(0);
+    let max_wave = plan.jobs.iter().map(|j| j.wave).max().unwrap_or(0);
     #[allow(clippy::explicit_counter_loop)] // barrier ids continue past the loop
     for wave in 0..=max_wave {
-        let wave_jobs = bench.jobs().iter().filter(|j| j.wave == wave);
+        let wave_jobs = plan.jobs.iter().filter(|j| j.wave == wave);
         match mode {
             ExecMode::Local => {
                 for job in wave_jobs {
@@ -147,7 +159,7 @@ pub fn generate(
     }
 
     // Epilogue work spread over all cores.
-    let epi = bench.epilogue_ops();
+    let epi = plan.epilogue_ops;
     if epi > 0 {
         let share = epi.div_ceil(sys.cores as u64);
         for q in queues.iter_mut() {
@@ -168,10 +180,8 @@ fn lines(base: u64, off: u64, len: u64) -> Vec<u64> {
 }
 
 /// A local work unit: a strip of matrix rows times a chunk of vectors.
-fn split_local_units(job: &MvmJob, cfg: &TaskGenConfig) -> Vec<CoreTask> {
-    let rows = job.matrix.rows();
-    let cols = job.matrix.cols();
-    let nvec = job.vectors.len();
+fn split_local_units(job: &JobShape, cfg: &TaskGenConfig) -> Vec<CoreTask> {
+    let (rows, cols, nvec) = (job.rows, job.cols, job.vectors);
 
     // Choose the split so a unit is ≈ unit_macs, but never so coarse that
     // a small job fails to spread across the machine.
@@ -216,22 +226,16 @@ fn split_local_units(job: &MvmJob, cfg: &TaskGenConfig) -> Vec<CoreTask> {
 
 /// Decides the partition width for a job: unitary-fitting matrices (e.g.
 /// the 8×8 DCT) use the full fabric, everything else SVD partitions.
-pub fn partition_width(job: &MvmJob, cfg: &TaskGenConfig) -> usize {
-    let m = &job.matrix;
-    if m.rows() == m.cols()
-        && m.rows() <= cfg.unitary_partition
-        && m.rows() > cfg.svd_partition
-        && is_orthogonal(m)
+pub fn partition_width(job: &JobShape, cfg: &TaskGenConfig) -> usize {
+    if job.rows == job.cols
+        && job.rows <= cfg.unitary_partition
+        && job.rows > cfg.svd_partition
+        && job.orthogonal
     {
         cfg.unitary_partition
     } else {
         cfg.svd_partition
     }
-}
-
-fn is_orthogonal(m: &flumen_linalg::RMat) -> bool {
-    let mtm = m.transpose().matmul(m);
-    mtm.approx_eq(&flumen_linalg::RMat::identity(m.rows()), 1e-9)
 }
 
 /// The three phases of one offload chunk.
@@ -255,11 +259,9 @@ struct OffloadPhases {
 
 /// An offload chunk: reads inputs, fires the request (with local
 /// fallback), accumulates partials, writes outputs.
-fn split_offload_chunks(job: &MvmJob, cfg: &TaskGenConfig) -> Vec<OffloadChunk> {
+fn split_offload_chunks(job: &JobShape, cfg: &TaskGenConfig) -> Vec<OffloadChunk> {
     let n = partition_width(job, cfg);
-    let rows = job.matrix.rows();
-    let cols = job.matrix.cols();
-    let nvec = job.vectors.len();
+    let (rows, cols, nvec) = (job.rows, job.cols, job.vectors);
     let (br, bc) = job.block_grid(n);
 
     // Row strips sized so configs per request stay under the cap.
@@ -347,7 +349,8 @@ mod tests {
         let b = ImageBlur::small();
         let cfg = TaskGenConfig::default();
         let total_stream_ops: u64 = b
-            .jobs()
+            .plan()
+            .jobs
             .iter()
             .flat_map(|j| split_local_units(j, &cfg))
             .map(|t| match t {
@@ -398,9 +401,9 @@ mod tests {
     fn jpeg_uses_full_fabric_unitary() {
         let j = Jpeg::small();
         let cfg = TaskGenConfig::default();
-        assert_eq!(partition_width(&j.jobs()[0], &cfg), 8);
+        assert_eq!(partition_width(&j.plan().jobs[0], &cfg), 8);
         let b = ImageBlur::small();
-        assert_eq!(partition_width(&b.jobs()[0], &cfg), 4);
+        assert_eq!(partition_width(&b.plan().jobs[0], &cfg), 4);
     }
 
     #[test]
@@ -428,9 +431,9 @@ mod tests {
 
     #[test]
     fn offload_configs_capped() {
-        let b = crate::fc::Vgg16Fc::paper();
+        let plan = crate::fc::Vgg16Fc::plan(1000, 4096, 1);
         let cfg = TaskGenConfig::default();
-        for chunk in split_offload_chunks(&b.jobs()[0], &cfg) {
+        for chunk in split_offload_chunks(&plan.jobs[0], &cfg) {
             if let CoreTask::External { payload, .. } = chunk.request {
                 assert!(payload[0] <= cfg.max_configs_per_request);
             }

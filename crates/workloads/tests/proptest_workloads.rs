@@ -119,7 +119,8 @@ proptest! {
             weight_base: 0,
             input_base: 0,
             output_base: 0,
-        };
+        }
+        .shape();
         let (br, bc) = job.block_grid(n);
         prop_assert!(br * n >= rows && (br - 1) * n < rows);
         prop_assert!(bc * n >= cols && (bc - 1) * n < cols);

@@ -14,18 +14,19 @@ fn main() {
     // A reduced FC layer for the explicit E-field walk-through.
     let layer = Vgg16Fc::with_size(24, 64, 0xF0C);
     let job = &layer.jobs()[0];
+    let shape = job.shape();
     println!(
         "FC layer {}×{}: ‖W‖₂ = {:.3}, blocked into {:?} grid of 4×4 sub-MZIMs",
         job.matrix.rows(),
         job.matrix.cols(),
         spectral_norm(&job.matrix).expect("svd converges"),
-        job.block_grid(4),
+        shape.block_grid(4),
     );
     let blocks = BlockMatrix::decompose(&job.matrix, 4);
     println!(
         "  {} block MVMs per input vector, {} partial-sum adds on the cores",
         blocks.mvm_block_ops(),
-        job.partial_sum_adds(4),
+        shape.partial_sum_adds(4),
     );
 
     let exact = job.golden();
