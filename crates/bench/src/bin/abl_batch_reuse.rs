@@ -5,8 +5,9 @@
 //! restores operand reuse, amortizing block configuration over the batch —
 //! this study quantifies how quickly Flumen-A's advantage recovers.
 
-use flumen::{run_benchmark, RuntimeConfig, SystemTopology};
+use flumen::{run_benchmark_plan, RuntimeConfig, SystemTopology};
 use flumen_bench::{quick_mode, speedup, write_csv, Table};
+use flumen_trace::TraceHandle;
 use flumen_workloads::Vgg16Fc;
 
 fn main() {
@@ -19,11 +20,23 @@ fn main() {
     let mut table = Table::new(&["batch", "mesh_cycles", "fa_cycles", "speedup", "energyX"]);
     let mut rows = Vec::new();
     for batch in [1usize, 2, 4, 8] {
-        let bench = Vgg16Fc::with_batch(out_dim, in_dim, batch, 0xF0C);
+        let plan = Vgg16Fc::plan(out_dim, in_dim, batch);
         let mut cfg = RuntimeConfig::paper();
         cfg.max_cycles = 400_000_000;
-        let mesh = run_benchmark(&bench, SystemTopology::Mesh, &cfg);
-        let fa = run_benchmark(&bench, SystemTopology::FlumenA, &cfg);
+        let mesh = run_benchmark_plan(
+            &plan,
+            SystemTopology::Mesh,
+            &cfg,
+            &TraceHandle::disabled(),
+            None,
+        );
+        let fa = run_benchmark_plan(
+            &plan,
+            SystemTopology::FlumenA,
+            &cfg,
+            &TraceHandle::disabled(),
+            None,
+        );
         let s = speedup(mesh.cycles, fa.cycles);
         let e = mesh.total_energy_j() / fa.total_energy_j();
         table.row(vec![

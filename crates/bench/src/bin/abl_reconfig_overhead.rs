@@ -8,25 +8,28 @@
 //! 2. The communication impact of compute partitions: average packet
 //!    latency on Flumen-A vs Flumen-I (paper: ~9 % increase).
 
-use flumen::{run_benchmark, ControlUnitParams, RuntimeConfig, SystemTopology};
+use flumen::{run_benchmark_plan, ControlUnitParams, RuntimeConfig, SystemTopology};
 use flumen_bench::{quick_mode, speedup, write_csv, Table};
-use flumen_workloads::{Benchmark, ImageBlur, Vgg16Fc};
+use flumen_trace::TraceHandle;
+use flumen_workloads::{ImageBlur, Vgg16Fc};
 
 fn main() {
-    let benches: Vec<Box<dyn Benchmark>> = if quick_mode() {
-        vec![Box::new(Vgg16Fc::small())]
+    let plans = if quick_mode() {
+        vec![Vgg16Fc::plan(10, 32, 1)]
     } else {
-        vec![Box::new(Vgg16Fc::paper()), Box::new(ImageBlur::paper())]
+        vec![Vgg16Fc::plan(1000, 4096, 1), ImageBlur::plan(256, 256)]
     };
 
     println!("E14a: sensitivity to phase-DAC pipelining (per-block switch hiding)");
     let mut table = Table::new(&["bench", "pipeline", "fa_cycles", "vs_mesh"]);
     let mut rows = Vec::new();
-    for bench in &benches {
-        let mesh = run_benchmark(
-            bench.as_ref(),
+    for plan in &plans {
+        let mesh = run_benchmark_plan(
+            plan,
             SystemTopology::Mesh,
             &RuntimeConfig::paper(),
+            &TraceHandle::disabled(),
+            None,
         );
         for pipeline in [0.0f64, 0.5, 0.9, 0.95, 0.995] {
             let mut cfg = RuntimeConfig::paper();
@@ -35,16 +38,22 @@ fn main() {
                 ..ControlUnitParams::paper()
             };
             cfg.max_cycles = 400_000_000;
-            let fa = run_benchmark(bench.as_ref(), SystemTopology::FlumenA, &cfg);
+            let fa = run_benchmark_plan(
+                plan,
+                SystemTopology::FlumenA,
+                &cfg,
+                &TraceHandle::disabled(),
+                None,
+            );
             let s = speedup(mesh.cycles, fa.cycles);
             table.row(vec![
-                bench.name().into(),
+                plan.name.into(),
                 format!("{pipeline:.3}"),
                 fa.cycles.to_string(),
                 format!("{s:.2}x"),
             ]);
             rows.push(vec![
-                bench.name().to_string(),
+                plan.name.to_string(),
                 format!("{pipeline:.3}"),
                 fa.cycles.to_string(),
                 format!("{s:.4}"),
@@ -61,23 +70,35 @@ fn main() {
     println!("\nE14b: packet-latency impact of compute partitions (paper: ~9% increase)");
     let mut table2 = Table::new(&["bench", "flumen_i_lat", "flumen_a_lat", "increase"]);
     let mut rows2 = Vec::new();
-    for bench in &benches {
+    for plan in &plans {
         let cfg = RuntimeConfig::paper();
-        let fi = run_benchmark(bench.as_ref(), SystemTopology::FlumenI, &cfg);
-        let fa = run_benchmark(bench.as_ref(), SystemTopology::FlumenA, &cfg);
+        let fi = run_benchmark_plan(
+            plan,
+            SystemTopology::FlumenI,
+            &cfg,
+            &TraceHandle::disabled(),
+            None,
+        );
+        let fa = run_benchmark_plan(
+            plan,
+            SystemTopology::FlumenA,
+            &cfg,
+            &TraceHandle::disabled(),
+            None,
+        );
         let (li, la) = (
             fi.avg_packet_latency().unwrap_or(0.0),
             fa.avg_packet_latency().unwrap_or(0.0),
         );
         let inc = 100.0 * (la - li) / li.max(1e-9);
         table2.row(vec![
-            bench.name().into(),
+            plan.name.into(),
             format!("{li:.1}"),
             format!("{la:.1}"),
             format!("{inc:+.1}%"),
         ]);
         rows2.push(vec![
-            bench.name().to_string(),
+            plan.name.to_string(),
             format!("{li:.3}"),
             format!("{la:.3}"),
             format!("{inc:.2}"),

@@ -2,27 +2,29 @@
 //! path uses (Table 1 fixes 8; this sweeps 1…8 and reports Flumen-A
 //! runtime, photonic energy and speedup on ResNet50 Conv3).
 
-use flumen::{run_benchmark, ControlUnitParams, RuntimeConfig, SystemTopology};
+use flumen::{run_benchmark_plan, ControlUnitParams, RuntimeConfig, SystemTopology};
 use flumen_bench::{quick_mode, speedup, write_csv, Table};
 use flumen_power::compute;
-use flumen_workloads::{Benchmark, ResnetConv3};
+use flumen_trace::TraceHandle;
+use flumen_workloads::ResnetConv3;
 
 fn main() {
-    let bench: Box<dyn Benchmark> = if quick_mode() {
-        Box::new(ResnetConv3::small())
+    let plan = if quick_mode() {
+        ResnetConv3::plan(8, 8, 4)
     } else {
-        Box::new(ResnetConv3::paper())
+        ResnetConv3::plan(56, 56, 64)
     };
-    let mesh = run_benchmark(
-        bench.as_ref(),
+    let mesh = run_benchmark_plan(
+        &plan,
         SystemTopology::Mesh,
         &RuntimeConfig::paper(),
+        &TraceHandle::disabled(),
+        None,
     );
 
     println!(
         "WDM compute width on {} (mesh baseline: {} cycles)",
-        bench.name(),
-        mesh.cycles
+        plan.name, mesh.cycles
     );
     let mut table = Table::new(&["lambdas", "fa_cycles", "speedup", "pj_per_mac_model"]);
     let mut rows = Vec::new();
@@ -33,7 +35,13 @@ fn main() {
             ..ControlUnitParams::paper()
         };
         cfg.max_cycles = 400_000_000;
-        let fa = run_benchmark(bench.as_ref(), SystemTopology::FlumenA, &cfg);
+        let fa = run_benchmark_plan(
+            &plan,
+            SystemTopology::FlumenA,
+            &cfg,
+            &TraceHandle::disabled(),
+            None,
+        );
         let s = speedup(mesh.cycles, fa.cycles);
         let pj = compute::flumen_mac_pj(4, lambdas);
         table.row(vec![

@@ -9,27 +9,27 @@
 //! `chrome://tracing` to see scheduler decisions, packet flights and
 //! core offloads on separate tracks.
 
-use flumen::{run_benchmark_traced, run_utilization_trace, RuntimeConfig, SystemTopology};
+use flumen::{run_benchmark_plan, run_utilization_trace, RuntimeConfig, SystemTopology};
 use flumen_bench::{out_dir, quick_mode, write_csv, Table};
 use flumen_trace::RecordingTracer;
-use flumen_workloads::{Benchmark, ImageBlur, Vgg16Fc};
+use flumen_workloads::{ImageBlur, Vgg16Fc};
 
 /// Runs a small traced Flumen-A benchmark and writes both trace formats.
 fn dump_trace(cfg: &RuntimeConfig) {
-    let bench = ImageBlur::small();
+    let plan = ImageBlur::plan(16, 16);
     let rec = RecordingTracer::new();
     // Sample the system counters too (utilization, cache misses).
     let cfg = RuntimeConfig {
         trace_interval: 100,
         ..cfg.clone()
     };
-    let r = run_benchmark_traced(&bench, SystemTopology::FlumenA, &cfg, rec.handle());
+    let r = run_benchmark_plan(&plan, SystemTopology::FlumenA, &cfg, &rec.handle(), None);
     let events = rec.events();
     let (chrome, jsonl) =
         flumen_sweep::sink::write_trace_files(&out_dir(), "fig01_flumen_a", &events);
     println!(
         "  traced {} on flumen_a: {} cycles, {} events ({} dropped)",
-        bench.name(),
+        plan.name,
         r.cycles,
         events.len(),
         rec.dropped()
@@ -43,18 +43,18 @@ fn main() {
     if std::env::args().any(|a| a == "--trace") {
         dump_trace(&cfg);
     }
-    let benches: Vec<Box<dyn Benchmark>> = if quick_mode() {
-        vec![Box::new(ImageBlur::small()), Box::new(Vgg16Fc::small())]
+    let plans = if quick_mode() {
+        vec![ImageBlur::plan(16, 16), Vgg16Fc::plan(10, 32, 1)]
     } else {
-        vec![Box::new(ImageBlur::paper()), Box::new(Vgg16Fc::paper())]
+        vec![ImageBlur::plan(256, 256), Vgg16Fc::plan(1000, 4096, 1)]
     };
 
     println!("Fig. 1: photonic link utilization during execution (16-node network)");
     let mut summary = Table::new(&["bench", "lambdas", "avg_util", "peak_util", "cycles"]);
     let mut trace_rows = Vec::new();
-    for bench in &benches {
+    for plan in &plans {
         for lambdas in [16usize, 32, 64] {
-            let r = run_utilization_trace(bench.as_ref(), lambdas, 500, &cfg);
+            let r = run_utilization_trace(plan, lambdas, 500, &cfg);
             let avg = if r.utilization_trace.is_empty() {
                 0.0
             } else {
@@ -62,7 +62,7 @@ fn main() {
             };
             let peak = r.utilization_trace.iter().fold(0.0f64, |a, &b| a.max(b));
             summary.row(vec![
-                bench.name().into(),
+                plan.name.into(),
                 lambdas.to_string(),
                 format!("{:.1}%", avg * 100.0),
                 format!("{:.1}%", peak * 100.0),
@@ -70,7 +70,7 @@ fn main() {
             ]);
             for (i, u) in r.utilization_trace.iter().enumerate() {
                 trace_rows.push(vec![
-                    bench.name().to_string(),
+                    plan.name.to_string(),
                     lambdas.to_string(),
                     (i * 500).to_string(),
                     format!("{u:.5}"),

@@ -221,6 +221,33 @@ fn module_path(crate_name: &str, src_dir: &Path, file: &Path) -> String {
 mod tests {
     use super::*;
 
+    /// The registry lists only names something still emits: every
+    /// registered name appears as a string literal in non-test code
+    /// outside the registry itself.
+    #[test]
+    fn every_registered_name_has_a_production_emitter() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let registry = trace_registry(&root).expect("registry parses");
+        let mut literals = std::collections::BTreeSet::new();
+        for file in collect_workspace_sources(&root).expect("workspace walk succeeds") {
+            if file.module == "trace::event" {
+                continue;
+            }
+            let (toks, _) = lexer::lex(&file.src);
+            let mask = lints::test_mask(&toks);
+            for (tok, in_test) in toks.iter().zip(mask) {
+                if let (lexer::TokKind::Str(s), false) = (&tok.kind, in_test) {
+                    literals.insert(s.clone());
+                }
+            }
+        }
+        let unused: Vec<&String> = registry.iter().filter(|n| !literals.contains(*n)).collect();
+        assert!(
+            unused.is_empty(),
+            "registered but never emitted: {unused:?}"
+        );
+    }
+
     #[test]
     fn module_paths_collapse_lib_and_mod() {
         let src = Path::new("/r/crates/noc/src");

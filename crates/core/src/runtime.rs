@@ -269,11 +269,11 @@ fn finish_result(
     }
 }
 
-/// Runs a benchmark on a photonic crossbar with a reduced wavelength count
-/// (Fig. 1's bandwidth sensitivity: 16/32/64 λ ↔ 64/128/256 bits/cycle),
-/// recording the link-utilization trace.
+/// Runs a workload plan on a photonic crossbar with a reduced wavelength
+/// count (Fig. 1's bandwidth sensitivity: 16/32/64 λ ↔ 64/128/256
+/// bits/cycle), recording the link-utilization trace.
 pub fn run_utilization_trace(
-    bench: &dyn Benchmark,
+    plan: &WorkloadPlan,
     lambdas: usize,
     trace_interval: u64,
     cfg: &RuntimeConfig,
@@ -286,7 +286,7 @@ pub fn run_utilization_trace(
         };
         MzimCrossbar::new(cfg.system.chiplets, xbar).expect("16-node crossbar")
     };
-    let tasks = taskgen::generate(bench, &cfg.system, ExecMode::Local, &cfg.taskgen);
+    let tasks = taskgen::generate_plan(plan, &cfg.system, ExecMode::Local, &cfg.taskgen);
     let cfg = RuntimeConfig {
         trace_interval,
         ..cfg.clone()
@@ -299,7 +299,7 @@ pub fn run_utilization_trace(
         &TraceHandle::disabled(),
         None,
     );
-    finish_result(bench.name(), SystemTopology::FlumenI, &cfg, r)
+    finish_result(plan.name, SystemTopology::FlumenI, &cfg, r)
 }
 
 /// Where and how often a checkpointed run snapshots itself.

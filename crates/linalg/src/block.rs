@@ -62,11 +62,6 @@ impl BlockMatrix {
         }
     }
 
-    /// The block side length `N`.
-    pub fn block_size(&self) -> usize {
-        self.n
-    }
-
     /// Number of block rows `⌈rows/N⌉`.
     pub fn block_rows(&self) -> usize {
         self.block_rows
@@ -75,11 +70,6 @@ impl BlockMatrix {
     /// Number of block columns `⌈cols/N⌉`.
     pub fn block_cols(&self) -> usize {
         self.block_cols
-    }
-
-    /// The original (unpadded) shape.
-    pub fn orig_shape(&self) -> (usize, usize) {
-        (self.orig_rows, self.orig_cols)
     }
 
     /// The `(i, j)` block.
@@ -184,8 +174,6 @@ mod tests {
         assert_eq!(b.block_rows(), 3);
         assert_eq!(b.block_cols(), 4);
         assert_eq!(b.mvm_block_ops(), 12);
-        assert_eq!(b.orig_shape(), (9, 13));
-        assert_eq!(b.block_size(), 4);
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl CMat {
         // whenever the `out` and `B` allocations landed ≡ mod 4 KiB those
         // stores false-conflicted with the next rows' `B` loads
         // (store-forward 4K aliasing) — a layout-dependent ~2× slowdown
-        // that `bench_perf` caught at n=128. The c-inner axpy over the
+        // measured at n=128. The c-inner axpy over the
         // chunk vectorizes like the seed's triple loop (a 4-column
         // register tile measured ~5% slower across sizes).
         //

@@ -1,8 +1,8 @@
 //! A compact SHA-256 for content-addressing.
 //!
 //! FIPS 180-4, no external dependencies. Used by `flumen-sweep` to hash
-//! canonical-JSON job specs and by the fabric's MeshProgram cache to key
-//! weight matrices (`f64::to_bits` little-endian bytes). Speed is
+//! canonical-JSON job specs and by the program library to key weight
+//! matrices (`f64::to_bits` little-endian bytes). Speed is
 //! irrelevant at these payload sizes; collision resistance and stability
 //! across runs/platforms are what the cache keys need.
 

@@ -14,8 +14,8 @@
 //! [`crate::torus`]) without adaptation.
 
 use crate::traffic::{BernoulliInjector, TrafficPattern};
-use crate::{Network, Packet};
-use flumen_sim::{run_phase, run_until, Clock, Component, Cycles, SimCtx, SimPhase};
+use crate::Network;
+use flumen_sim::{run_phase, Clock, Component, Cycles, SimCtx, SimPhase};
 
 /// One measured operating point of a latency-load sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,26 +133,6 @@ pub fn measure_point<N: Network + ?Sized>(
     }
 }
 
-/// Sweeps offered load over `loads` for a fresh network per point.
-pub fn latency_load_sweep<F, N>(
-    mut make_net: F,
-    pattern: TrafficPattern,
-    loads: &[f64],
-    cfg: &RunConfig,
-) -> Vec<LatencyPoint>
-where
-    F: FnMut() -> N,
-    N: Network,
-{
-    loads
-        .iter()
-        .map(|&load| {
-            let mut net = make_net();
-            measure_point(&mut net, pattern, load, cfg)
-        })
-        .collect()
-}
-
 /// A network with no new injections, counting deliveries as in-flight
 /// packets complete.
 struct DrainDriver<'a, N: Network + ?Sized> {
@@ -187,51 +167,6 @@ pub fn drain<N: Network + ?Sized>(net: &mut N, max_cycles: u64) -> u64 {
         Cycles::new(max_cycles),
     );
     driver.delivered
-}
-
-/// A cycle-stamped packet schedule feeding a network: packets inject when
-/// the *network's* clock reaches their `created_at` (the network may have
-/// been pre-stepped, so its absolute cycle — not the kernel phase clock —
-/// is the reference).
-struct ScheduleDriver<'a, N: Network + ?Sized> {
-    net: &'a mut N,
-    schedule: Vec<Packet>,
-    next: usize,
-}
-
-impl<N: Network + ?Sized> Component for ScheduleDriver<'_, N> {
-    fn step(&mut self, _now: Cycles, _ctx: &mut SimCtx) {
-        let due = self.net.cycle();
-        while self.next < self.schedule.len() && self.schedule[self.next].created_at <= due {
-            self.net.inject(self.schedule[self.next].clone());
-            self.next += 1;
-        }
-        self.net.step();
-    }
-
-    fn done(&self, _now: Cycles) -> bool {
-        self.next >= self.schedule.len() && self.net.pending() == 0
-    }
-}
-
-/// Injects an explicit packet schedule (cycle-stamped) and runs until the
-/// network drains or `max_cycles` elapse. Returns total cycles simulated.
-/// Used by trace-driven studies (e.g. Fig. 1 link-utilization traces).
-pub fn run_schedule<N: Network + ?Sized>(
-    net: &mut N,
-    mut schedule: Vec<Packet>,
-    max_cycles: u64,
-) -> u64 {
-    schedule.sort_by_key(|p| p.created_at);
-    let mut driver = ScheduleDriver {
-        net,
-        schedule,
-        next: 0,
-    };
-    let mut ctx = SimCtx::new(0);
-    let mut clock = Clock::new();
-    let out = run_until(&mut driver, &mut ctx, &mut clock, Cycles::new(max_cycles));
-    out.cycles.value()
 }
 
 // JSON bridges (canonical serialized form; field names feed sweep job
@@ -283,12 +218,13 @@ mod tests {
     #[test]
     fn latency_monotone_with_load_on_mesh() {
         let cfg = quick_cfg();
-        let pts = latency_load_sweep(
-            RoutedNetwork::mesh_4x4,
-            TrafficPattern::UniformRandom,
-            &[0.05, 0.3, 0.6],
-            &cfg,
-        );
+        let pts: Vec<LatencyPoint> = [0.05, 0.3, 0.6]
+            .iter()
+            .map(|&load| {
+                let mut net = RoutedNetwork::mesh_4x4();
+                measure_point(&mut net, TrafficPattern::UniformRandom, load, &cfg)
+            })
+            .collect();
         assert!(pts[0].avg_latency < pts[1].avg_latency);
         assert!(pts[1].avg_latency <= pts[2].avg_latency * 1.5);
     }
@@ -329,17 +265,5 @@ mod tests {
             &cfg,
         );
         assert!(p.saturated);
-    }
-
-    #[test]
-    fn run_schedule_drains() {
-        let mut net = MzimCrossbar::flumen_16();
-        let schedule: Vec<Packet> = (0..64)
-            .map(|k| Packet::new(k, (k % 16) as usize, ((k + 3) % 16) as usize, 512, k))
-            .collect();
-        let cycles = run_schedule(&mut net, schedule, 50_000);
-        assert_eq!(net.pending(), 0);
-        assert!(cycles < 50_000);
-        assert_eq!(net.stats().delivered, 64);
     }
 }

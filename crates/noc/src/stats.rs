@@ -77,18 +77,6 @@ impl NetStats {
         busy as f64 / (self.cycles as f64 * self.link_busy.len() as f64)
     }
 
-    /// Per-link utilizations in `[0, 1]`.
-    pub fn link_utilizations(&self) -> Vec<f64> {
-        if self.cycles == 0 {
-            return vec![0.0; self.link_busy.len()];
-        }
-        self.link_busy
-            .iter()
-            // flumen-check: allow(no-bare-cast) — dimensionless busy/total ratio, not a time
-            .map(|&b| b as f64 / self.cycles as f64)
-            .collect()
-    }
-
     /// Delivered throughput in packets per node per cycle.
     pub fn throughput(&self, nodes: usize) -> f64 {
         if self.cycles == 0 {
@@ -208,7 +196,6 @@ mod tests {
         s.link_busy[0] = 50;
         s.link_busy[1] = 100;
         assert!((s.avg_link_utilization() - 0.75).abs() < 1e-12);
-        assert_eq!(s.link_utilizations(), vec![0.5, 1.0]);
     }
 
     #[test]

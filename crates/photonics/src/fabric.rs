@@ -20,14 +20,13 @@
 use crate::analog::AnalogModel;
 use crate::clements::{apply_program_in_range, program_mesh};
 use crate::device::DeviceParams;
-use crate::mesh::{MziSlot, MzimMesh};
-use crate::mzi::{Attenuator, MziPhase};
-use crate::progstore::{derive_program, matrix_key, PartitionProgram, ProgramStore};
+use crate::mesh::MzimMesh;
+use crate::mzi::Attenuator;
+use crate::progstore::{derive_program, PartitionProgram};
 use crate::routing;
 use crate::{PhotonicsError, Result};
 use flumen_linalg::{CMat, RMat, C64};
 use flumen_units::Decibels;
-use std::collections::{BTreeMap, VecDeque};
 
 /// What a fabric partition is currently doing.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,62 +66,6 @@ pub enum PartitionConfig<'a> {
     /// Program a compute circuit for the given `w×w` matrix (spectral-norm
     /// scaling is applied automatically).
     Compute(&'a RMat),
-}
-
-/// Hit/miss statistics of the fabric's MeshProgram cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProgramCacheStats {
-    /// Compute-partition programs served from the in-memory cache (SVD +
-    /// Clements decomposition skipped).
-    pub hits: u64,
-    /// In-memory misses: programs fetched from the disk store or derived
-    /// from scratch, then (capacity permitting) cached.
-    pub misses: u64,
-    /// Entries dropped by LRU eviction since the last counter reset.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Maximum resident entries; 0 disables the cache.
-    pub capacity: usize,
-}
-
-/// Phase-diff statistics from the most recent successful
-/// [`FlumenFabric::set_partitions`] call: how much of the mesh actually
-/// changed, for incremental-reprogramming latency/energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReprogramStats {
-    /// Mesh MZIs whose phase pair differs from before the call.
-    pub changed_mzis: usize,
-    /// Attenuator-column MZIs whose amplitude differs from before the call.
-    pub changed_attens: usize,
-    /// Total programmable mesh MZIs (`N(N−1)/2`).
-    pub total_mzis: usize,
-}
-
-/// A complete snapshot of the fabric's programmable state — every mesh
-/// phase pair, the mid/output phase screens, the attenuator column, and
-/// the partition table — in deterministic slot order. The unit of
-/// incremental reprogramming: capture a state once, then transition into
-/// it either via [`FlumenFabric::restore_program_state`] (full write) or
-/// [`FlumenFabric::apply_program_state_delta`] (changed elements only);
-/// both land on bit-identical fabric state.
-#[derive(Debug, Clone)]
-pub struct FabricProgramState {
-    n: usize,
-    /// Mesh MZI slots in `MzimMesh::iter` order (column-major by column,
-    /// then mode).
-    slots: Vec<MziSlot>,
-    mid_phases: Vec<f64>,
-    atten_amps: Vec<f64>,
-    out_phases: Vec<f64>,
-    partitions: Vec<Partition>,
-}
-
-impl FabricProgramState {
-    /// Fabric size this state targets.
-    pub fn n(&self) -> usize {
-        self.n
-    }
 }
 
 /// Per-path trace through the fabric, for loss accounting.
@@ -173,25 +116,7 @@ pub struct FlumenFabric {
     /// Phase screen at the fabric outputs.
     out_phases: Vec<f64>,
     partitions: Vec<Partition>,
-    /// Content-addressed MeshProgram cache keyed by SHA-256 over the weight
-    /// matrix bits; survives [`FlumenFabric::reset`].
-    program_cache: BTreeMap<String, PartitionProgram>,
-    /// LRU recency order of `program_cache` keys (front = coldest).
-    program_cache_order: VecDeque<String>,
-    program_cache_capacity: usize,
-    program_cache_hits: u64,
-    program_cache_misses: u64,
-    program_cache_evictions: u64,
-    /// Optional second tier: the shared on-disk program library consulted
-    /// on in-memory misses before deriving from scratch.
-    program_store: Option<ProgramStore>,
-    last_reprogram: ReprogramStats,
 }
-
-/// Default MeshProgram-cache capacity. Weight strips repeat heavily within
-/// an offload batch (§3.3); a few dozen entries cover the working set of
-/// every benchmark workload while bounding memory to ~capacity·N² phases.
-const DEFAULT_PROGRAM_CACHE_CAPACITY: usize = 32;
 
 impl FlumenFabric {
     /// Creates an idle `n`-input fabric.
@@ -218,14 +143,6 @@ impl FlumenFabric {
                 width: n,
                 role: PartitionRole::Idle,
             }],
-            program_cache: BTreeMap::new(),
-            program_cache_order: VecDeque::new(),
-            program_cache_capacity: DEFAULT_PROGRAM_CACHE_CAPACITY,
-            program_cache_hits: 0,
-            program_cache_misses: 0,
-            program_cache_evictions: 0,
-            program_store: None,
-            last_reprogram: ReprogramStats::default(),
         })
     }
 
@@ -329,8 +246,6 @@ impl FlumenFabric {
                 requirement: "partition widths must be even, ≥ 2, and sum to the fabric size",
             });
         }
-        let phases_before: Vec<MziPhase> = self.mesh.iter().map(|s| s.phase).collect();
-        let attens_before: Vec<f64> = self.attens.iter().map(|a| a.amplitude()).collect();
         self.reset();
         self.partitions.clear();
         let mut base = 0usize;
@@ -350,21 +265,6 @@ impl FlumenFabric {
             });
             base += width;
         }
-        self.last_reprogram = ReprogramStats {
-            changed_mzis: self
-                .mesh
-                .iter()
-                .zip(phases_before.iter())
-                .filter(|(s, p)| s.phase != **p)
-                .count(),
-            changed_attens: self
-                .attens
-                .iter()
-                .zip(attens_before.iter())
-                .filter(|(a, b)| a.amplitude() != **b)
-                .count(),
-            total_mzis: self.mesh.mzi_count(),
-        };
         Ok(())
     }
 
@@ -383,48 +283,11 @@ impl FlumenFabric {
                 requirement: "compute partitions need width ≤ N/2 (half-columns per mesh)",
             });
         }
-        // Tier 1: in-memory LRU cache.
-        let key = if self.program_cache_capacity > 0 || self.program_store.is_some() {
-            Some(matrix_key(m))
-        } else {
-            None
-        };
-        if let Some(k) = &key {
-            if self.program_cache_capacity > 0 {
-                if let Some(cached) = self.program_cache.get(k) {
-                    let cached = cached.clone();
-                    self.program_cache_hits += 1;
-                    self.cache_touch(k);
-                    return self.apply_program(base, w, &cached);
-                }
-                self.program_cache_misses += 1;
-            }
-            // Tier 2: the shared on-disk program library ("disk-warm").
-            // Store entries round-trip every f64 bit, so a hit programs
-            // the mesh byte-identically to the cold path below.
-            if let Some(store) = self.program_store.clone() {
-                if let Some(entry) = store.load(k, w) {
-                    let result = self.apply_program(base, w, &entry)?;
-                    self.cache_insert(k.clone(), entry);
-                    return Ok(result);
-                }
-            }
-        }
-        // Tier 3: cold derivation, written through to both tiers.
-        let entry = derive_program(m)?;
-        let result = self.apply_program(base, w, &entry)?;
-        if let Some(k) = key {
-            if let Some(store) = &self.program_store {
-                store.store(&k, w, &entry);
-            }
-            self.cache_insert(k, entry);
-        }
-        Ok(result)
+        let prog = derive_program(m)?;
+        self.apply_program(base, w, &prog)
     }
 
-    /// Writes a (possibly cached) compute program onto wires
-    /// `[base, base+w)`. Deterministic given the program, so cache hits and
-    /// cold derivations produce bit-identical mesh state.
+    /// Writes a derived compute program onto wires `[base, base+w)`.
     fn apply_program(&mut self, base: usize, w: usize, prog: &PartitionProgram) -> Result<f64> {
         let half = self.n / 2;
         let v_out = apply_program_in_range(&mut self.mesh, &prog.v_prog, base, 0, half)?;
@@ -435,214 +298,6 @@ impl FlumenFabric {
             self.attens[base + i] = Attenuator::with_amplitude(prog.sigma[i].min(1.0))?;
         }
         Ok(prog.norm)
-    }
-
-    /// Marks `key` most-recently-used.
-    fn cache_touch(&mut self, key: &str) {
-        if let Some(pos) = self.program_cache_order.iter().position(|k| k == key) {
-            if let Some(k) = self.program_cache_order.remove(pos) {
-                self.program_cache_order.push_back(k);
-            }
-        }
-    }
-
-    /// Inserts a derived program, evicting the least-recently-used entries
-    /// once the capacity is reached.
-    fn cache_insert(&mut self, key: String, entry: PartitionProgram) {
-        if self.program_cache_capacity == 0 {
-            return;
-        }
-        while self.program_cache.len() >= self.program_cache_capacity {
-            if let Some(coldest) = self.program_cache_order.pop_front() {
-                self.program_cache.remove(&coldest);
-                self.program_cache_evictions += 1;
-            } else {
-                break;
-            }
-        }
-        self.program_cache_order.push_back(key.clone());
-        self.program_cache.insert(key, entry);
-    }
-
-    /// Hit/miss statistics of the MeshProgram cache.
-    pub fn program_cache_stats(&self) -> ProgramCacheStats {
-        ProgramCacheStats {
-            hits: self.program_cache_hits,
-            misses: self.program_cache_misses,
-            evictions: self.program_cache_evictions,
-            entries: self.program_cache.len(),
-            capacity: self.program_cache_capacity,
-        }
-    }
-
-    /// Sets the MeshProgram-cache capacity (0 disables caching). Shrinking
-    /// evicts coldest-first; hit/miss counters are preserved.
-    pub fn set_program_cache_capacity(&mut self, capacity: usize) {
-        self.program_cache_capacity = capacity;
-        while self.program_cache.len() > capacity {
-            if let Some(coldest) = self.program_cache_order.pop_front() {
-                self.program_cache.remove(&coldest);
-                self.program_cache_evictions += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Drops every cached program and zeroes the hit/miss/eviction
-    /// counters.
-    pub fn clear_program_cache(&mut self) {
-        self.program_cache.clear();
-        self.program_cache_order.clear();
-        self.program_cache_hits = 0;
-        self.program_cache_misses = 0;
-        self.program_cache_evictions = 0;
-    }
-
-    /// Attaches an on-disk program library as the second cache tier:
-    /// in-memory misses consult `store` before deriving, and cold
-    /// derivations are written through to it. Store entries replay
-    /// bit-identically to fresh decomposition, so attaching a store can
-    /// only change wall-clock programming time, never fabric state.
-    pub fn set_program_store(&mut self, store: ProgramStore) {
-        self.program_store = Some(store);
-    }
-
-    /// Detaches the on-disk program library, returning it.
-    pub fn take_program_store(&mut self) -> Option<ProgramStore> {
-        self.program_store.take()
-    }
-
-    /// The attached on-disk program library, if any.
-    pub fn program_store(&self) -> Option<&ProgramStore> {
-        self.program_store.as_ref()
-    }
-
-    /// Phase-diff statistics from the most recent successful
-    /// [`FlumenFabric::set_partitions`] call.
-    pub fn last_reprogram(&self) -> ReprogramStats {
-        self.last_reprogram
-    }
-
-    /// Captures the fabric's complete programmable state for later
-    /// [`FlumenFabric::restore_program_state`] /
-    /// [`FlumenFabric::apply_program_state_delta`].
-    pub fn capture_program_state(&self) -> FabricProgramState {
-        FabricProgramState {
-            n: self.n,
-            slots: self.mesh.iter().copied().collect(),
-            mid_phases: self.mid_phases.clone(),
-            atten_amps: self.attens.iter().map(|a| a.amplitude()).collect(),
-            out_phases: self.out_phases.clone(),
-            partitions: self.partitions.clone(),
-        }
-    }
-
-    /// Restores a captured state by writing **every** programmable element
-    /// (the full-reprogram baseline the delta path is measured against).
-    /// Updates [`FlumenFabric::last_reprogram`] with the phase diff versus
-    /// the pre-call state.
-    ///
-    /// # Errors
-    ///
-    /// [`PhotonicsError::DimensionMismatch`] if `state` targets a
-    /// different fabric geometry; attenuator range errors propagate.
-    pub fn restore_program_state(&mut self, state: &FabricProgramState) -> Result<()> {
-        self.check_state_geometry(state)?;
-        let stats = self.diff_against(state);
-        for slot in &state.slots {
-            self.mesh.set_phase(slot.col, slot.mode, slot.phase)?;
-        }
-        self.mid_phases.copy_from_slice(&state.mid_phases);
-        for (a, &amp) in self.attens.iter_mut().zip(state.atten_amps.iter()) {
-            *a = Attenuator::with_amplitude(amp)?;
-        }
-        self.out_phases.copy_from_slice(&state.out_phases);
-        self.partitions = state.partitions.clone();
-        self.last_reprogram = stats;
-        Ok(())
-    }
-
-    /// Transitions into a captured state by programming **only** the
-    /// elements whose bits differ from the current state — the minimal
-    /// MZI phase-diff set feeding the `mzim_programmed_mzis` energy term.
-    /// Final fabric state is bit-identical to
-    /// [`FlumenFabric::restore_program_state`] (the equivalence the
-    /// progstore test suite pins down); returns the diff statistics, which
-    /// also land in [`FlumenFabric::last_reprogram`].
-    ///
-    /// # Errors
-    ///
-    /// [`PhotonicsError::DimensionMismatch`] if `state` targets a
-    /// different fabric geometry; attenuator range errors propagate.
-    pub fn apply_program_state_delta(
-        &mut self,
-        state: &FabricProgramState,
-    ) -> Result<ReprogramStats> {
-        self.check_state_geometry(state)?;
-        let stats = self.diff_against(state);
-        // Diff on raw bits (not `==`): `-0.0 == 0.0` but they propagate
-        // differently through `cis`, and the delta path must land on the
-        // exact bytes the full restore writes.
-        let changed: Vec<MziSlot> = self
-            .mesh
-            .iter()
-            .zip(state.slots.iter())
-            .filter(|(cur, want)| !phase_bits_eq(&cur.phase, &want.phase))
-            .map(|(_, want)| *want)
-            .collect();
-        for slot in &changed {
-            self.mesh.set_phase(slot.col, slot.mode, slot.phase)?;
-        }
-        for (cur, &want) in self.mid_phases.iter_mut().zip(state.mid_phases.iter()) {
-            if cur.to_bits() != want.to_bits() {
-                *cur = want;
-            }
-        }
-        for (i, &amp) in state.atten_amps.iter().enumerate() {
-            if self.attens[i].amplitude().to_bits() != amp.to_bits() {
-                self.attens[i] = Attenuator::with_amplitude(amp)?;
-            }
-        }
-        for (cur, &want) in self.out_phases.iter_mut().zip(state.out_phases.iter()) {
-            if cur.to_bits() != want.to_bits() {
-                *cur = want;
-            }
-        }
-        self.partitions = state.partitions.clone();
-        self.last_reprogram = stats;
-        Ok(stats)
-    }
-
-    fn check_state_geometry(&self, state: &FabricProgramState) -> Result<()> {
-        if state.n != self.n || state.slots.len() != self.mesh.mzi_count() {
-            return Err(PhotonicsError::DimensionMismatch {
-                expected: self.n,
-                actual: state.n,
-            });
-        }
-        Ok(())
-    }
-
-    /// Phase-diff of the current state against a target, in
-    /// [`ReprogramStats`] terms (same `!=` semantics as
-    /// [`FlumenFabric::set_partitions`]' post-hoc diff).
-    fn diff_against(&self, state: &FabricProgramState) -> ReprogramStats {
-        ReprogramStats {
-            changed_mzis: self
-                .mesh
-                .iter()
-                .zip(state.slots.iter())
-                .filter(|(cur, want)| cur.phase != want.phase)
-                .count(),
-            changed_attens: self
-                .attens
-                .iter()
-                .zip(state.atten_amps.iter())
-                .filter(|(a, b)| a.amplitude() != **b)
-                .count(),
-            total_mzis: self.mesh.mzi_count(),
-        }
     }
 
     /// Routes a permutation inside communication partition `part`
@@ -761,8 +416,8 @@ impl FlumenFabric {
     /// The fabric is programmed by [`FlumenFabric::set_partitions`] before
     /// this call; the batch then streams through the fixed phase state.
     /// This is the `mvm_batched` primitive: one programming (the expensive
-    /// thermo-optic/DAC step, amortized by the program cache and counted
-    /// once in the power model) and `B` cheap propagations.
+    /// thermo-optic/DAC step, counted once in the power model) and `B`
+    /// cheap propagations.
     ///
     /// **Contract:** element `i` of the result is bit-identical to
     /// `self.compute_in(part, &xs[i])` — batching never changes numerics.
@@ -923,12 +578,6 @@ impl FlumenFabric {
     pub fn attenuations(&self) -> Vec<f64> {
         self.attens.iter().map(|a| a.amplitude()).collect()
     }
-}
-
-/// Bitwise phase-pair equality (stricter than `PartialEq`, which treats
-/// `-0.0` and `0.0` as equal).
-fn phase_bits_eq(a: &MziPhase, b: &MziPhase) -> bool {
-    a.theta.to_bits() == b.theta.to_bits() && a.phi.to_bits() == b.phi.to_bits()
 }
 
 #[cfg(test)]
@@ -1137,202 +786,6 @@ mod tests {
         for i in 0..4 {
             assert!((y[i] - t[i]).abs() < 0.05 * fs.max(1e-9));
         }
-    }
-
-    #[test]
-    fn cache_hit_programs_bit_identically() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let cfg = [
-            (4usize, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ];
-        let mut cold = FlumenFabric::new(8).unwrap();
-        cold.set_partitions(&cfg).unwrap();
-        let cold_t = cold.transfer_matrix();
-        assert_eq!(cold.program_cache_stats().hits, 0);
-        assert_eq!(cold.program_cache_stats().misses, 1);
-        assert_eq!(cold.program_cache_stats().entries, 1);
-
-        // Re-programming the same matrix hits the cache and produces the
-        // exact same mesh state (PartialEq on CMat is bitwise).
-        cold.set_partitions(&cfg).unwrap();
-        assert_eq!(cold.program_cache_stats().hits, 1);
-        assert_eq!(cold.transfer_matrix(), cold_t);
-    }
-
-    #[test]
-    fn cache_capacity_zero_disables() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_program_cache_capacity(0);
-        let cfg = [
-            (4usize, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ];
-        f.set_partitions(&cfg).unwrap();
-        f.set_partitions(&cfg).unwrap();
-        let stats = f.program_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-    }
-
-    #[test]
-    fn cache_evicts_lru_at_capacity() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mats: Vec<RMat> = (0..3)
-            .map(|_| RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0)))
-            .collect();
-        let compute = |f: &mut FlumenFabric, m: &RMat| {
-            f.set_partitions(&[(4, PartitionConfig::Compute(m)), (4, PartitionConfig::Idle)])
-                .unwrap()
-        };
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_program_cache_capacity(2);
-        compute(&mut f, &mats[0]);
-        compute(&mut f, &mats[1]);
-        // Touch mats[0]: it becomes most-recently-used.
-        compute(&mut f, &mats[0]);
-        assert_eq!(f.program_cache_stats().hits, 1);
-        // Inserting mats[2] must now evict mats[1] (the LRU entry), not
-        // mats[0] (which FIFO would have dropped).
-        compute(&mut f, &mats[2]);
-        let stats = f.program_cache_stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 1);
-        compute(&mut f, &mats[0]);
-        assert_eq!(f.program_cache_stats().hits, 2, "recently-used survived");
-        compute(&mut f, &mats[1]);
-        assert_eq!(f.program_cache_stats().misses, 4, "LRU entry was evicted");
-        // Shrinking the capacity evicts and counts too.
-        f.set_program_cache_capacity(1);
-        assert_eq!(f.program_cache_stats().entries, 1);
-        assert!(f.program_cache_stats().evictions >= 3);
-    }
-
-    #[test]
-    fn disk_store_tier_hits_after_mem_clear_bit_identically() {
-        let dir = std::env::temp_dir().join(format!("flumen-fabric-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ProgramStore::open(&dir).unwrap();
-        let mut rng = StdRng::seed_from_u64(31);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let cfg = [
-            (4usize, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ];
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_program_store(store.clone());
-        f.set_partitions(&cfg).unwrap();
-        let cold_t = f.transfer_matrix();
-        assert_eq!(store.stats().writes, 1, "cold derivation written through");
-
-        // Clearing the memory tier forces the next program through disk.
-        f.clear_program_cache();
-        f.set_partitions(&cfg).unwrap();
-        assert_eq!(store.stats().hits, 1, "disk-warm hit");
-        assert_eq!(f.transfer_matrix(), cold_t, "bit-identical mesh state");
-
-        // A second fabric sharing the store never pays the cold path.
-        let mut f2 = FlumenFabric::new(8).unwrap();
-        f2.set_program_store(store.clone());
-        f2.set_partitions(&cfg).unwrap();
-        assert_eq!(store.stats().hits, 2, "fleet-warm hit");
-        assert_eq!(f2.transfer_matrix(), cold_t);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delta_reprogram_matches_full_restore_bit_exactly() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let mats: Vec<RMat> = (0..3)
-            .map(|_| RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0)))
-            .collect();
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_partitions(&[
-            (4, PartitionConfig::Compute(&mats[0])),
-            (4, PartitionConfig::Compute(&mats[1])),
-        ])
-        .unwrap();
-        let state_a = f.capture_program_state();
-        let t_a = f.transfer_matrix();
-        // Adjacent target: shares partition 0's program with state A.
-        f.set_partitions(&[
-            (4, PartitionConfig::Compute(&mats[0])),
-            (4, PartitionConfig::Compute(&mats[2])),
-        ])
-        .unwrap();
-        let state_b = f.capture_program_state();
-        let t_b = f.transfer_matrix();
-
-        // Delta back to A from B, then forward again: bit-identical both
-        // ways, and the adjacent delta touches fewer MZIs than the mesh.
-        let stats = f.apply_program_state_delta(&state_a).unwrap();
-        assert_eq!(f.transfer_matrix(), t_a);
-        assert_eq!(f.partitions(), state_a.partitions.as_slice());
-        assert!(stats.changed_mzis > 0);
-        assert!(
-            stats.changed_mzis < f.mesh.mzi_count() / 2,
-            "adjacent delta reprograms a minority of the mesh ({}/{})",
-            stats.changed_mzis,
-            f.mesh.mzi_count()
-        );
-        assert_eq!(stats, f.last_reprogram());
-        let forward = f.apply_program_state_delta(&state_b).unwrap();
-        assert_eq!(f.transfer_matrix(), t_b);
-        assert_eq!(forward.changed_mzis, stats.changed_mzis);
-
-        // Full restore lands on the same bits the delta path produced.
-        let mut g = f.clone();
-        g.restore_program_state(&state_a).unwrap();
-        f.apply_program_state_delta(&state_a).unwrap();
-        assert_eq!(g.transfer_matrix(), f.transfer_matrix());
-        assert_eq!(g.last_reprogram(), f.last_reprogram());
-
-        // A no-op delta reports zero changes.
-        let noop = f.apply_program_state_delta(&state_a).unwrap();
-        assert_eq!((noop.changed_mzis, noop.changed_attens), (0, 0));
-
-        // Geometry mismatches are rejected.
-        let mut small = FlumenFabric::new(4).unwrap();
-        assert!(small.apply_program_state_delta(&state_a).is_err());
-        assert!(small.restore_program_state(&state_a).is_err());
-    }
-
-    #[test]
-    fn clear_program_cache_resets_counters() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_partitions(&[
-            (4, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ])
-        .unwrap();
-        f.clear_program_cache();
-        let stats = f.program_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-        assert_eq!(stats.capacity, 32);
-    }
-
-    #[test]
-    fn reprogram_stats_diff_changed_mzis() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let m = RMat::from_fn(4, 4, |_, _| rng.gen_range(-1.0..1.0));
-        let cfg = [
-            (4usize, PartitionConfig::Compute(&m)),
-            (4, PartitionConfig::Idle),
-        ];
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_partitions(&cfg).unwrap();
-        let first = f.last_reprogram();
-        assert!(first.changed_mzis > 0);
-        assert_eq!(first.total_mzis, 28);
-        // Identical re-program: every phase lands on its previous value.
-        f.set_partitions(&cfg).unwrap();
-        let second = f.last_reprogram();
-        assert_eq!(second.changed_mzis, 0);
-        assert_eq!(second.changed_attens, 0);
     }
 
     #[test]

@@ -164,11 +164,6 @@ impl Attenuator {
         self.amplitude
     }
 
-    /// The power transmission `σ²`.
-    pub fn power_transmission(&self) -> f64 {
-        self.amplitude * self.amplitude
-    }
-
     /// The MZI internal phase `θ` realizing this transmission
     /// (`σ = sin(θ/2)`).
     pub fn theta(&self) -> f64 {
@@ -286,7 +281,6 @@ mod tests {
         for sigma in [0.0, 0.3, 0.7, 1.0] {
             let a = Attenuator::with_amplitude(sigma).unwrap();
             assert!(((a.theta() / 2.0).sin() - sigma).abs() < 1e-12);
-            assert!((a.power_transmission() - sigma * sigma).abs() < 1e-12);
         }
     }
 

@@ -72,9 +72,9 @@ impl PartitionProgram {
 /// Derives the full partition program for a `w×w` weight matrix: spectral
 /// pre-scaling, SVD, and one Clements decomposition per unitary factor.
 ///
-/// This is *the* cold path every cache tier short-circuits —
+/// This is the cold path a [`ProgramStore`] hit short-circuits —
 /// [`crate::FlumenFabric`] and [`crate::SvdCircuit`] both program through
-/// it, so a store hit in either is bit-identical to a fresh derivation.
+/// it, so a store hit is bit-identical to a fresh derivation.
 ///
 /// # Errors
 ///
@@ -193,26 +193,6 @@ impl ProgramStore {
         for name in self.store.names(".prog") {
             self.store.remove(&name);
         }
-    }
-
-    /// A `u64` key per resident entry (the top 64 bits of each entry's
-    /// content hash), sorted ascending. This is a *manifest* for drivers
-    /// that model a fleet-warm matrix memory (e.g. pre-seeding the
-    /// control unit's program cache in an ablation). Simulation results
-    /// must depend only on the explicit key list a driver passes on —
-    /// never consult this from a hash-checked flow, or cold and warm
-    /// stores would diverge.
-    pub fn manifest_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self
-            .store
-            .names(".prog")
-            .into_iter()
-            .filter_map(|name| u64::from_str_radix(name.get(0..16)?, 16).ok())
-            .map(|k| k.max(1))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
     }
 }
 
@@ -501,26 +481,6 @@ mod tests {
         assert!(store.load(&key, 8).is_none());
         assert_eq!(store.stats().misses, 1);
         assert_eq!(store.stats().corrupt, 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_keys_sorted_nonzero() {
-        let dir = std::env::temp_dir().join(format!(
-            "flumen-progstore-manifest-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let store = ProgramStore::open(&dir).unwrap();
-        for seed in 0..3 {
-            let m = test_matrix(seed, 4);
-            store.store(&matrix_key(&m), 4, &derive_program(&m).unwrap());
-        }
-        let keys = store.manifest_keys();
-        assert_eq!(keys.len(), 3);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert!(keys.iter().all(|&k| k >= 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -13,7 +13,7 @@ use crate::clements::MeshProgram;
 use crate::mesh::MzimMesh;
 use crate::mzi::MziPhase;
 use crate::{PhotonicsError, Result};
-use flumen_linalg::{CMat, C64};
+use flumen_linalg::CMat;
 
 /// Magnitudes below this are treated as zero during nulling.
 const TINY: f64 = 1e-12;
@@ -115,26 +115,11 @@ pub fn reck_mesh(n: usize) -> MzimMesh {
     MzimMesh::with_depth(n, (2 * n).saturating_sub(3).max(1))
 }
 
-/// Checks that programming `u` via Reck reproduces it (test/diagnostic
-/// helper).
-pub fn verify_round_trip(u: &CMat, tol: f64) -> Result<bool> {
-    let mut mesh = reck_mesh(u.rows());
-    program_reck_mesh(&mut mesh, u)?;
-    Ok(mesh.transfer_matrix().approx_eq(u, tol))
-}
-
-/// The output-side fields for a basis input, convenience for tests.
-pub fn propagate_basis(mesh: &MzimMesh, input: usize) -> Vec<C64> {
-    let mut x = vec![C64::ZERO; mesh.n()];
-    x[input] = C64::ONE;
-    mesh.propagate(&x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clements;
-    use flumen_linalg::random_unitary;
+    use flumen_linalg::{random_unitary, C64};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -143,7 +128,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         for n in 2..=10 {
             let u = random_unitary(n, &mut rng);
-            assert!(verify_round_trip(&u, 1e-8).unwrap(), "n={n}");
+            let mut mesh = reck_mesh(n);
+            program_reck_mesh(&mut mesh, &u).unwrap();
+            assert!(mesh.transfer_matrix().approx_eq(&u, 1e-8), "n={n}");
         }
     }
 
@@ -205,7 +192,9 @@ mod tests {
         let mut mesh = reck_mesh(5);
         program_reck_mesh(&mut mesh, &u).unwrap();
         for c in 0..5 {
-            let out = propagate_basis(&mesh, c);
+            let mut x = vec![C64::ZERO; 5];
+            x[c] = C64::ONE;
+            let out = mesh.propagate(&x);
             for r in 0..5 {
                 assert!(out[r].approx_eq(u[(r, c)], 1e-8));
             }

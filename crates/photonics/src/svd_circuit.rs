@@ -303,21 +303,6 @@ impl SvdCircuit {
             *y *= self.scale;
         }
     }
-
-    /// WDM-parallel matrix-matrix product (paper §3.3.1): each column of
-    /// `a_cols` rides its own wavelength, so all `p` MVMs complete in one
-    /// fabric pass. Returns the `p` output vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column's length differs from `n`.
-    pub fn apply_wdm(&self, a_cols: &[Vec<f64>], model: &AnalogModel, seed: u64) -> Vec<Vec<f64>> {
-        a_cols
-            .iter()
-            .enumerate()
-            .map(|(i, col)| self.apply_with_model(col, model, seed.wrapping_add(i as u64)))
-            .collect()
-    }
 }
 
 fn quantize_mesh_phases(mesh: &mut MzimMesh, model: &AnalogModel) {
@@ -576,23 +561,6 @@ mod tests {
                 (a - b).abs() < 0.05 * fs.max(1e-9),
                 "8-bit error too large: {a} vs {b}"
             );
-        }
-    }
-
-    #[test]
-    fn wdm_batch_matches_per_column() {
-        let n = 4;
-        let m = random_mat(9, n);
-        let c = SvdCircuit::program(&m).unwrap();
-        let cols: Vec<Vec<f64>> = (0..3)
-            .map(|k| (0..n).map(|i| ((i + k) as f64 * 0.21).sin()).collect())
-            .collect();
-        let outs = c.apply_wdm(&cols, &AnalogModel::ideal(), 0);
-        for (k, col) in cols.iter().enumerate() {
-            let direct = c.apply(col);
-            for (a, b) in outs[k].iter().zip(direct.iter()) {
-                assert!((a - b).abs() < 1e-12);
-            }
         }
     }
 

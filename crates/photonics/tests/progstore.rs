@@ -1,12 +1,12 @@
 //! Integration tests for the persistent program library: proptest
-//! round-trips, corrupted-store robustness, delta-reprogramming
-//! equivalence, and genuine two-process store sharing.
+//! round-trips, corrupted-store robustness, and genuine two-process store
+//! sharing through its one client, `SvdCircuit::program_with_store`.
 
 use flumen_linalg::{sha256_hex, RMat};
 use flumen_photonics::progstore::{
     decode_program, derive_program, encode_program, matrix_key, ProgramStore,
 };
-use flumen_photonics::{FlumenFabric, PartitionConfig, SvdCircuit};
+use flumen_photonics::SvdCircuit;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,13 +30,16 @@ fn random_mat(seed: u64, n: usize) -> RMat {
     RMat::from_fn(n, n, |_, _| rng.gen_range(-2.0..2.0))
 }
 
-/// Canonical fingerprint of a fabric's complete transfer function.
-fn fabric_hash(f: &FlumenFabric) -> String {
-    let t = f.transfer_matrix();
+/// Canonical fingerprint of a circuit's complete transfer function: the
+/// bits of its response to every unit input.
+fn circuit_hash(c: &SvdCircuit) -> String {
     let mut bytes = Vec::new();
-    for v in t.as_slice() {
-        bytes.extend_from_slice(&v.re.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&v.im.to_bits().to_le_bytes());
+    for i in 0..c.n() {
+        let mut e = vec![0.0; c.n()];
+        e[i] = 1.0;
+        for y in c.apply(&e) {
+            bytes.extend_from_slice(&y.to_bits().to_le_bytes());
+        }
     }
     sha256_hex(&bytes)
 }
@@ -89,51 +92,6 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    /// Delta-applied fabric state is bit-identical to a full reprogram,
-    /// whatever the partition layout transition.
-    #[test]
-    fn delta_reprogram_equivalent_to_full(seed in any::<u32>(), share_bit in any::<u32>()) {
-        let share = share_bit.is_multiple_of(2);
-        let s = seed as u64;
-        let m0 = random_mat(s, 4);
-        let m1 = random_mat(s ^ 0x9e37, 4);
-        let m2 = if share { m0.clone() } else { random_mat(s ^ 0x51ab, 4) };
-        let m3 = random_mat(s ^ 0xc4f2, 4);
-
-        let mut f = FlumenFabric::new(8).unwrap();
-        f.set_partitions(&[
-            (4, PartitionConfig::Compute(&m0)),
-            (4, PartitionConfig::Compute(&m1)),
-        ]).unwrap();
-        let state_a = f.capture_program_state();
-        f.set_partitions(&[
-            (4, PartitionConfig::Compute(&m2)),
-            (4, PartitionConfig::Compute(&m3)),
-        ]).unwrap();
-        let state_b = f.capture_program_state();
-        let hash_b = fabric_hash(&f);
-
-        // Rewind to A, then take the delta path to B.
-        let mut via_delta = f.clone();
-        via_delta.restore_program_state(&state_a).unwrap();
-        let stats = via_delta.apply_program_state_delta(&state_b).unwrap();
-        prop_assert_eq!(fabric_hash(&via_delta), hash_b.clone());
-
-        // And the full-restore path to B from the same origin.
-        let mut via_full = f.clone();
-        via_full.restore_program_state(&state_a).unwrap();
-        via_full.restore_program_state(&state_b).unwrap();
-        prop_assert_eq!(fabric_hash(&via_full), hash_b);
-        prop_assert_eq!(via_full.last_reprogram(), stats);
-
-        // Sharing partition 0's weights keeps its MZIs untouched: the
-        // delta is at most the other partition plus barrier columns.
-        if share {
-            prop_assert!(stats.changed_mzis <= 28 - 6,
-                "shared partition must not be reprogrammed ({} changed)", stats.changed_mzis);
-        }
-    }
 }
 
 #[test]
@@ -161,19 +119,12 @@ fn corrupt_and_truncated_entries_degrade_to_miss() {
     assert_eq!(store.stats().corrupt, 3);
     assert_eq!(store.stats().hits, 0);
 
-    // A fabric over the corrupt store recomputes, repairs the entry, and
-    // stays bit-identical to a store-less cold run.
+    // A circuit programmed over the corrupt store recomputes, repairs the
+    // entry, and stays bit-identical to a store-less cold run.
     std::fs::write(&path, b"still broken").unwrap();
-    let cfg = [
-        (4usize, PartitionConfig::Compute(&m)),
-        (4, PartitionConfig::Idle),
-    ];
-    let mut plain = FlumenFabric::new(8).unwrap();
-    plain.set_partitions(&cfg).unwrap();
-    let mut repaired = FlumenFabric::new(8).unwrap();
-    repaired.set_program_store(store.clone());
-    repaired.set_partitions(&cfg).unwrap();
-    assert_eq!(fabric_hash(&plain), fabric_hash(&repaired));
+    let plain = SvdCircuit::program(&m).unwrap();
+    let repaired = SvdCircuit::program_with_store(&m, Some(&store)).unwrap();
+    assert_eq!(circuit_hash(&plain), circuit_hash(&repaired));
     assert_eq!(store.stats().corrupt, 4);
     // The write-through replaced the garbage: next load is a clean hit.
     assert!(store.load(&key, 4).is_some());
@@ -185,16 +136,8 @@ fn two_process_matrix() -> RMat {
     RMat::from_fn(4, 4, |r, c| ((r * 7 + c * 3) as f64 * 0.213 + 0.11).cos())
 }
 
-fn two_process_fabric(store: &ProgramStore) -> FlumenFabric {
-    let m = two_process_matrix();
-    let mut f = FlumenFabric::new(8).unwrap();
-    f.set_program_store(store.clone());
-    f.set_partitions(&[
-        (4, PartitionConfig::Compute(&m)),
-        (4, PartitionConfig::Idle),
-    ])
-    .unwrap();
-    f
+fn two_process_circuit(store: &ProgramStore) -> SvdCircuit {
+    SvdCircuit::program_with_store(&two_process_matrix(), Some(store)).unwrap()
 }
 
 /// Child half of the two-process test: cold-programs through the shared
@@ -208,7 +151,7 @@ fn two_process_child_writer() {
         return;
     };
     let store = ProgramStore::open(std::path::Path::new(&dir)).unwrap();
-    let f = two_process_fabric(&store);
+    let c = two_process_circuit(&store);
     assert_eq!(
         store.stats().writes,
         1,
@@ -216,7 +159,7 @@ fn two_process_child_writer() {
     );
     std::fs::write(
         std::path::Path::new(&dir).join("child_hash.txt"),
-        fabric_hash(&f),
+        circuit_hash(&c),
     )
     .unwrap();
 }
@@ -244,11 +187,11 @@ fn two_process_sharing_gets_disk_warm_hits() {
     // This (second) process programs the same workload: disk-warm hits,
     // zero cold derivations, identical result hash.
     let store = ProgramStore::open(&dir).unwrap();
-    let f = two_process_fabric(&store);
+    let c = two_process_circuit(&store);
     let stats = store.stats();
     assert!(stats.hits > 0, "second process must get disk-warm hits");
     assert_eq!(stats.writes, 0, "second process never decomposes");
-    assert_eq!(fabric_hash(&f), child_hash, "cross-process result hash");
+    assert_eq!(circuit_hash(&c), child_hash, "cross-process result hash");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -257,25 +200,17 @@ fn store_disabled_cold_and_warm_all_bit_identical() {
     let dir = scratch_dir("tiers");
     let store = ProgramStore::open(&dir).unwrap();
     let m = random_mat(123, 4);
-    let cfg = [
-        (4usize, PartitionConfig::Compute(&m)),
-        (4, PartitionConfig::Idle),
-    ];
-    // Disabled: no store attached.
-    let mut disabled = FlumenFabric::new(8).unwrap();
-    disabled.set_partitions(&cfg).unwrap();
-    // Cold: store attached but empty.
-    let mut cold = FlumenFabric::new(8).unwrap();
-    cold.set_program_store(store.clone());
-    cold.set_partitions(&cfg).unwrap();
-    // Warm: fresh fabric, entry now on disk.
-    let mut warm = FlumenFabric::new(8).unwrap();
-    warm.set_program_store(store.clone());
-    warm.set_partitions(&cfg).unwrap();
+    // Disabled: no store.
+    let disabled = SvdCircuit::program_with_store(&m, None).unwrap();
+    // Cold: store open but empty.
+    let cold = SvdCircuit::program_with_store(&m, Some(&store)).unwrap();
+    assert_eq!(store.stats().writes, 1, "cold derivation written through");
+    // Warm: entry now on disk.
+    let warm = SvdCircuit::program_with_store(&m, Some(&store)).unwrap();
     assert!(store.stats().hits > 0);
 
-    let h = fabric_hash(&disabled);
-    assert_eq!(h, fabric_hash(&cold));
-    assert_eq!(h, fabric_hash(&warm));
+    let h = circuit_hash(&disabled);
+    assert_eq!(h, circuit_hash(&cold));
+    assert_eq!(h, circuit_hash(&warm));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -182,11 +182,11 @@ proptest! {
         }
     }
 
-    /// A program-cache hit replays the stored phase lists, so reprogramming
-    /// the same weight matrix leaves the fabric in a bit-identical state —
-    /// for any random matrix and any legal partition width.
+    /// Reprogramming a fabric with the same weight matrix leaves it in a
+    /// bit-identical state — for any random matrix and any legal partition
+    /// width.
     #[test]
-    fn fabric_cache_hit_bit_identical_to_fresh(half_w in 1usize..3, seed in any::<u32>()) {
+    fn fabric_reprogram_bit_identical_to_fresh(half_w in 1usize..3, seed in any::<u32>()) {
         let w = 2 * half_w; // widths must be even and ≤ N/2 = 4
         let mut rng = StdRng::seed_from_u64(seed as u64);
         let m = RMat::from_fn(w, w, |_, _| rng.gen_range(-1.0..1.0));
@@ -198,7 +198,6 @@ proptest! {
         fabric.set_partitions(&cfg).unwrap();
         let fresh = fabric.transfer_matrix();
         fabric.set_partitions(&cfg).unwrap();
-        prop_assert_eq!(fabric.program_cache_stats().hits, 1);
         let replayed = fabric.transfer_matrix();
         for r in 0..8 {
             for c in 0..8 {
@@ -206,9 +205,6 @@ proptest! {
                 prop_assert_eq!(fresh[(r, c)].im.to_bits(), replayed[(r, c)].im.to_bits());
             }
         }
-        // The identical reprogram drove zero phase or attenuation changes.
-        prop_assert_eq!(fabric.last_reprogram().changed_mzis, 0);
-        prop_assert_eq!(fabric.last_reprogram().changed_attens, 0);
     }
 }
 

@@ -26,12 +26,6 @@ pub const ELEC_MAC_PJ: Picojoules = Picojoules::new(554.0 / 2048.0);
 pub const P_PHASE_DAC_MW: Milliwatts = Milliwatts::new(0.0153);
 /// Modulation + conversion energy per analog sample (fitted).
 pub const E_CONV_PJ: Picojoules = Picojoules::new(0.3);
-/// Dynamic energy of writing one MZI phase DAC code: the phase-shifter
-/// DAC drawing its static power for the 6 ns programming window. Only
-/// charged when the control unit's program cache tracks incremental
-/// reprogramming (`ActivityCounts::mzim_programmed_mzis`); the baseline
-/// model folds programming into `P_PHASE_DAC_MW` occupancy.
-pub const E_PHASE_WRITE_PJ: Picojoules = Picojoules::new(0.0153 * 6.0);
 /// Laser scaling prefactor (receiver floor / wall-plug efficiency).
 pub const LASER_BASE_MW: Milliwatts = Milliwatts::new(0.084);
 /// Effective per-MZI insertion loss on the compute path (low-loss

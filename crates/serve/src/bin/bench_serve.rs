@@ -173,8 +173,8 @@ fn main() {
     derived.push(("mean_service_cycles".into(), format!("{mean_service:.1}")));
     derived.push(("result_hash".into(), format!("\"{combined}\"")));
 
-    // Hand-rendered JSON, matching bench_perf's trajectory style; every
-    // field is sim-derived so the bytes are run-to-run identical.
+    // Hand-rendered JSON; every field is sim-derived so the bytes are
+    // run-to-run identical.
     let mut json = String::from("{\n");
     json.push_str("  \"suite\": \"flumen-serve\",\n");
     json.push_str(&format!(

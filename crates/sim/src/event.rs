@@ -95,14 +95,6 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Iterates over pending `(deadline, payload)` pairs in deterministic
-    /// `(deadline, insertion)` order.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (Cycles, &T)> {
-        let mut entries: Vec<&Entry<T>> = self.heap.iter().map(|Reverse(e)| e).collect();
-        entries.sort_by_key(|e| (e.at, e.seq));
-        entries.into_iter().map(|e| (Cycles::new(e.at), &e.payload))
-    }
 }
 
 impl<T: ToJson> ToJson for EventQueue<T> {
@@ -191,13 +183,14 @@ mod tests {
     }
 
     #[test]
-    fn len_and_iter_sorted() {
+    fn len_and_deadline_order() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.schedule(Cycles::new(7), 1u64);
         q.schedule(Cycles::new(4), 2u64);
         assert_eq!(q.len(), 2);
-        let order: Vec<u64> = q.iter_sorted().map(|(_, v)| *v).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_due(Cycles::new(7))).collect();
         assert_eq!(order, vec![2, 1]);
+        assert!(q.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Canonical SHA-256 for content-addressing job specs.
 //!
 //! The FIPS 180-4 implementation lives in [`flumen_linalg::sha256_hex`]
-//! so lower layers (the fabric's MeshProgram cache) can content-address
+//! so lower layers (the program library) can content-address
 //! weight matrices without depending on the sweep crate; this module
 //! keeps the sweep-facing path stable.
 

@@ -14,6 +14,10 @@
 //!
 //! and commit the updated `tests/goldens/grid_small.json` together with
 //! the change that explains it.
+//!
+//! A second golden pins every benchmark's workload plan — job shapes,
+//! waves and the weight/input/output base addresses taskgen lays traffic
+//! out from — for both sizes, as one SHA-256 per plan.
 
 use flumen::SystemTopology;
 use flumen_sweep::{run_plan, BenchKind, BenchSize, BenchSpec, JobSpec, SweepOptions, SweepPlan};
@@ -160,5 +164,98 @@ fn reduced_grid_matches_golden_snapshot() {
                 "{label}: {key} drifted from golden: {g} vs {w}"
             );
         }
+    }
+}
+
+/// SHA-256 of a plan's canonical text: its name and epilogue, then one
+/// line per job with every field, addresses in hex.
+fn plan_digest(spec: &BenchSpec) -> String {
+    let plan = spec.plan();
+    let mut text = format!("{} {}\n", plan.name, plan.epilogue_ops);
+    for j in &plan.jobs {
+        text.push_str(&format!(
+            "{} {} {} {} {} {:#x} {:#x} {:#x} {}\n",
+            j.id,
+            j.wave,
+            j.rows,
+            j.cols,
+            j.vectors,
+            j.weight_base,
+            j.input_base,
+            j.output_base,
+            j.orthogonal
+        ));
+    }
+    flumen_linalg::sha256_hex(text.as_bytes())
+}
+
+/// Recorded plan digests, small sizes then paper sizes, in
+/// `BenchSpec::all` order.
+const PLAN_DIGESTS: &[(&str, &str)] = &[
+    (
+        "image_blur/Small",
+        "eba7ab0303992d56e567ec864c20f101bb45483d166180e475aab94f80ed1f29",
+    ),
+    (
+        "vgg16_fc/Small",
+        "1193f2af107f7e39b40af6539ffa0422a3352c9f0c7714fe8fb35495bf7543be",
+    ),
+    (
+        "resnet50_conv3/Small",
+        "2d0e3b402d7ba957a621d953378d83a1aef189d2b15ea7d16205e4a057c50a5c",
+    ),
+    (
+        "jpeg/Small",
+        "53f3cd80925173ad2f00e838f65c4b0151b5997309e7e94c2811c209fef6f029",
+    ),
+    (
+        "rotation_3d/Small",
+        "6b178ff49818a20d4f0ff05122bf6ff855b8704629fee6179bdaf9d3f5ee5231",
+    ),
+    (
+        "image_blur/Paper",
+        "89a98db1132a4f8c9e77d04b563962c27cf82e6671180b2240592a9b73c5764c",
+    ),
+    (
+        "vgg16_fc/Paper",
+        "e6d15707688d4702fa2ff5fa00c0b40937746308b26d3ef001a2332aec16d824",
+    ),
+    (
+        "resnet50_conv3/Paper",
+        "0ef7bf945c62e43da4a525e98a968502add216532dcc801e2309187d0062296f",
+    ),
+    (
+        "jpeg/Paper",
+        "bf08f3c5f9cdd13eacb9ba31df205538d81ec42289d46f63981a3ae5c7dbce6a",
+    ),
+    (
+        "rotation_3d/Paper",
+        "2ce587c5c1bcbe4f37da08a859820d8b2d3e4b1e7fe5020a22da095206bfe5a6",
+    ),
+];
+
+#[test]
+fn every_plan_matches_its_recorded_digest() {
+    let got: Vec<(String, String)> = [BenchSize::Small, BenchSize::Paper]
+        .into_iter()
+        .flat_map(BenchSpec::all)
+        .map(|spec| {
+            (
+                format!("{}/{:?}", spec.name(), spec.size),
+                plan_digest(&spec),
+            )
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(label, digest)| format!("    (\"{label}\", \"{digest}\"),\n"))
+        .collect();
+    assert_eq!(got.len(), PLAN_DIGESTS.len(), "plan set changed:\n{table}");
+    for ((label, digest), &(want_label, want)) in got.iter().zip(PLAN_DIGESTS) {
+        assert_eq!(label, want_label, "plan order changed:\n{table}");
+        assert_eq!(
+            digest, want,
+            "{label}: job shapes or addresses changed; if intentional, record:\n{table}"
+        );
     }
 }

@@ -39,10 +39,10 @@ pub struct ActivityCounts {
     pub mzim_active_cycles: u64,
     /// MZIM partition (re)configurations for compute.
     pub mzim_reconfigs: u64,
-    /// Individual MZI phase writes during compute programming (Flumen-A
-    /// only). Zero unless the control unit's program cache is enabled —
-    /// with incremental reprogramming, only phases that actually change are
-    /// driven and charged.
+    /// Always zero: the control unit programs every partition in full and
+    /// charges that time in its service cost, not per MZI write. Kept
+    /// because it is part of the serialized run result (and so of every
+    /// recorded result digest).
     pub mzim_programmed_mzis: u64,
 }
 

@@ -24,9 +24,9 @@ use flumen_trace::{TraceCategory, TraceEvent, TraceHandle};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Opaque request payload passed from a core to the external server. For
-/// MZIM offloads the five words are `[configs, vectors, n, macs,
-/// matrix_key]` — see `flumen_workloads::offload_payload`.
-pub type ExternalPayload = [u64; 5];
+/// MZIM offloads the four words are `[configs, vectors, n, macs]` — see
+/// `flumen_workloads::offload_payload`.
+pub type ExternalPayload = [u64; 4];
 
 /// Completion record returned by [`ExternalServer::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1035,7 +1035,7 @@ mod tests {
     fn external_rejection_runs_fallback() {
         let mut tasks = empty_tasks(4);
         tasks[1].push(CoreTask::External {
-            payload: [0; 5],
+            payload: [0; 4],
             fallback: vec![CoreTask::Compute { ops: 500 }],
         });
         let sim = SystemSim::new(tiny_cfg(), net4(), NullServer::default(), tasks);
@@ -1090,7 +1090,7 @@ mod tests {
             writes: vec![],
         });
         tasks[1].push(CoreTask::External {
-            payload: [0; 5],
+            payload: [0; 4],
             fallback: vec![],
         });
         for t in tasks.iter_mut() {

@@ -62,17 +62,6 @@ pub enum CoreTask {
     },
 }
 
-impl CoreTask {
-    /// Convenience constructor for a line-granular read-only stream.
-    pub fn stream_reads(ops: u64, reads: Vec<u64>) -> Self {
-        CoreTask::Stream {
-            ops,
-            reads,
-            writes: Vec::new(),
-        }
-    }
-}
-
 // Canonical JSON bridge for checkpoints: variants carry a `kind` tag,
 // byte addresses and the opaque offload payload ride as hex (they use the
 // full 64-bit range, beyond f64's exact integers), and `External.fallback`
@@ -153,7 +142,7 @@ impl flumen_sim::FromJson for CoreTask {
                 let payload: crate::engine::ExternalPayload =
                     words.try_into().map_err(|v: Vec<u64>| {
                         JsonError(format!(
-                            "CoreTask.payload: expected 5 words, got {}",
+                            "CoreTask.payload: expected 4 words, got {}",
                             v.len()
                         ))
                     })?;
@@ -174,19 +163,6 @@ impl flumen_sim::FromJson for CoreTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_reads_helper() {
-        let t = CoreTask::stream_reads(100, vec![0, 64]);
-        match t {
-            CoreTask::Stream { ops, reads, writes } => {
-                assert_eq!(ops, 100);
-                assert_eq!(reads.len(), 2);
-                assert!(writes.is_empty());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
 
     #[test]
     fn all_variants_round_trip_through_json() {
@@ -210,7 +186,7 @@ mod tests {
             },
             CoreTask::Barrier { id: 9 },
             CoreTask::External {
-                payload: [1, 2, 3, 4, 0xDEAD_BEEF_DEAD_BEEF],
+                payload: [1, 2, 3, 0xDEAD_BEEF_DEAD_BEEF],
                 fallback: vec![CoreTask::Compute { ops: 500 }],
             },
         ];

@@ -78,7 +78,6 @@ fn random_task(rng: &mut StdRng) -> CoreTask {
                 rng.gen_range(1..64),
                 rng.gen_range(1..3),
                 0,
-                rng.gen_range(0..3),
             ],
             fallback: vec![CoreTask::Compute {
                 ops: rng.gen_range(1..800),

@@ -11,7 +11,6 @@
 
 use crate::event::{EventKind, TraceCategory, TraceEvent};
 use std::fmt::Write as _;
-use std::io::{self, Write};
 
 fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
@@ -124,11 +123,6 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
     }
     out.push_str("]\n");
     out
-}
-
-/// Writes [`to_chrome_json`] output to `w`.
-pub fn write_chrome_trace<W: Write>(w: &mut W, events: &[TraceEvent]) -> io::Result<()> {
-    w.write_all(to_chrome_json(events).as_bytes())
 }
 
 #[cfg(test)]

@@ -71,8 +71,8 @@ impl Vgg16Fc {
     /// **Extension (beyond the paper):** a batched FC layer. The paper
     /// identifies VGG16-FC as Flumen's weakest benchmark *because* batch-1
     /// inference reuses each weight block exactly once; batching restores
-    /// the operand reuse that the WDM compute path thrives on. Used by the
-    /// `abl_batch_reuse` study.
+    /// the operand reuse that the WDM compute path thrives on; the
+    /// `abl_batch_reuse` study runs its [`Vgg16Fc::plan`].
     ///
     /// # Panics
     ///

@@ -131,16 +131,6 @@ impl Jpeg {
             epilogue_ops: plan.epilogue_ops,
         }
     }
-
-    /// Number of 8×8 blocks (paper: 1536).
-    pub fn block_count(&self) -> usize {
-        self.blocks
-    }
-
-    /// Golden DCT coefficients, one row-major 8×8 matrix per block.
-    pub fn golden_coefficients(&self) -> &[Vec<f64>] {
-        &self.golden
-    }
 }
 
 impl Benchmark for Jpeg {
@@ -193,7 +183,7 @@ mod tests {
     #[test]
     fn paper_block_and_mac_counts() {
         let j = Jpeg::paper();
-        assert_eq!(j.block_count(), 1536);
+        assert_eq!(j.blocks, 1536);
         // Two 8×8×8 passes per block: 1536 × 2 × 512 ≈ 1.57 M MACs.
         assert_eq!(j.total_macs(), 1536 * 2 * 512);
     }
@@ -217,7 +207,7 @@ mod tests {
     fn dc_coefficient_matches_block_mean() {
         // C[0,0] = 8 × mean(levels) for an orthonormal DCT-II.
         let j = Jpeg::small();
-        let gold = &j.golden_coefficients()[0];
+        let gold = &j.golden[0];
         // Reconstruct the block mean from the DC coefficient.
         let dc = gold[0];
         assert!(dc.abs() < 8.0, "level-shifted DC must be bounded: {dc}");

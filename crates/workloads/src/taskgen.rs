@@ -60,30 +60,9 @@ impl Default for TaskGenConfig {
 
 const LINE: u64 = 64;
 
-/// Offload payload layout: `[configs, vectors, partition_n, macs,
-/// matrix_key]`.
-///
-/// `matrix_key` is a 64-bit content address of the weight strip the request
-/// programs (0 opts out of caching). The control unit's program cache uses
-/// it to recognize re-offloads of an already-seen strip and skip the full
-/// phase reprogram.
-pub fn offload_payload(configs: u64, vectors: u64, n: u64, macs: u64, matrix_key: u64) -> [u64; 5] {
-    [configs, vectors, n, macs, matrix_key]
-}
-
-/// Content key of one weight strip: SHA-256 over `(weight_base, row_lo,
-/// partition_n)` truncated to the top 64 bits. Clamped away from 0 (the
-/// "no key" sentinel). Strips repeated across vector chunks — the reuse
-/// the paper's batch scheduling exploits (§3.3) — share a key.
-fn strip_key(weight_base: u64, row_lo: usize, n: usize) -> u64 {
-    let mut bytes = [0u8; 24];
-    bytes[..8].copy_from_slice(&weight_base.to_le_bytes());
-    bytes[8..16].copy_from_slice(&(row_lo as u64).to_le_bytes());
-    bytes[16..].copy_from_slice(&(n as u64).to_le_bytes());
-    let hex = flumen_linalg::sha256_hex(&bytes);
-    u64::from_str_radix(&hex[..16], 16)
-        .unwrap_or(u64::MAX)
-        .max(1)
+/// Offload payload layout: `[configs, vectors, partition_n, macs]`.
+pub fn offload_payload(configs: u64, vectors: u64, n: u64, macs: u64) -> [u64; 4] {
+    [configs, vectors, n, macs]
 }
 
 /// Generates the per-core task queues for a benchmark: the queues of its
@@ -272,8 +251,6 @@ fn split_offload_chunks(job: &JobShape, cfg: &TaskGenConfig) -> Vec<OffloadChunk
     let mut s0 = 0usize;
     while s0 < br {
         let sn = strips_per_req.min(br - s0);
-        // All vector chunks of this strip program the same weights.
-        let matrix_key = strip_key(job.weight_base, s0 * n, n);
         let mut v0 = 0usize;
         while v0 < nvec {
             let vs = vecs_per_req.min(nvec - v0);
@@ -315,7 +292,7 @@ fn split_offload_chunks(job: &JobShape, cfg: &TaskGenConfig) -> Vec<OffloadChunk
                     writes: Vec::new(),
                 },
                 request: CoreTask::External {
-                    payload: offload_payload(configs, vs as u64, n as u64, macs, matrix_key),
+                    payload: offload_payload(configs, vs as u64, n as u64, macs),
                     fallback,
                 },
                 // Partial accumulation is a streaming vector add: ~1 op

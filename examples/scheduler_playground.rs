@@ -48,7 +48,7 @@ fn main() {
         }
         // A compute request every ~500 cycles.
         if cycle == next_request_at {
-            cu.on_request(cycle, 0, (tag as usize * 3) % 16, tag, [64, 256, 4, 0, 0]);
+            cu.on_request(cycle, 0, (tag as usize * 3) % 16, tag, [64, 256, 4, 0]);
             tag += 1;
             next_request_at += 500;
         }

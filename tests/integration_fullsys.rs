@@ -98,8 +98,8 @@ fn utilization_trace_reports_low_link_usage() {
     // Fig. 1's premise: linear-algebra codes leave photonic links mostly
     // idle.
     let cfg = quick_cfg();
-    let bench = flumen_workloads::ImageBlur::small();
-    let r = flumen::run_utilization_trace(&bench, 64, 200, &cfg);
+    let plan = flumen_workloads::ImageBlur::plan(16, 16);
+    let r = flumen::run_utilization_trace(&plan, 64, 200, &cfg);
     assert!(!r.utilization_trace.is_empty());
     let avg: f64 = r.utilization_trace.iter().sum::<f64>() / r.utilization_trace.len() as f64;
     assert!(avg < 0.5, "linear algebra should not saturate links: {avg}");

@@ -20,7 +20,7 @@ fn offload_through_engine_completes_and_counts() {
     // Four cores offload small kernels.
     for c in [0usize, 17, 35, 60] {
         tasks[c].push(CoreTask::External {
-            payload: [8, 64, 4, 2048, 0],
+            payload: [8, 64, 4, 2048],
             fallback: vec![CoreTask::Compute { ops: 12_288 }],
         });
     }
@@ -52,7 +52,7 @@ fn rejected_offloads_run_their_fallback() {
     };
     let mut tasks: Vec<Vec<CoreTask>> = vec![Vec::new(); 64];
     tasks[3].push(CoreTask::External {
-        payload: [4, 16, 4, 256, 0],
+        payload: [4, 16, 4, 256],
         fallback: vec![CoreTask::Compute { ops: 1_536 }],
     });
     let sim = SystemSim::new(sys16(), crossbar(), MzimControlUnit::new(control), tasks);
@@ -69,7 +69,7 @@ fn compute_partition_blocks_and_releases_traffic() {
     let mut cu = MzimControlUnit::new(control);
     let mut net = crossbar();
     // Requester on chiplet 15 → bottom half (ports 8..16) reserved.
-    cu.on_request(0, 60, 15, 1, [2000, 8, 4, 0, 0]);
+    cu.on_request(0, 60, 15, 1, [2000, 8, 4, 0]);
     let _ = cu.step(0, &mut net);
     assert_eq!(net.reserved_wires().len(), 8);
 
@@ -116,7 +116,7 @@ fn beta_gating_matches_scan_depth_semantics() {
 fn control_unit_drains_counts_once() {
     let mut cu = MzimControlUnit::new(ControlUnitParams::paper());
     let mut net = crossbar();
-    cu.on_request(0, 0, 0, 1, [2, 8, 4, 0, 0]);
+    cu.on_request(0, 0, 0, 1, [2, 8, 4, 0]);
     for _ in 0..200u64 {
         let now = net.cycle();
         let _ = cu.step(now, &mut net);
